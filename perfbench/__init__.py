@@ -1,0 +1,5 @@
+"""Three-phase GDR session benchmark: cold start, interactive loop, drain.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
