@@ -2,7 +2,7 @@
 
 Entry point::
 
-    python benchmarks/run_bench.py [--suite micro|loop|drain|scaling|all] [-o PATH] [-k EXPR]
+    python benchmarks/run_bench.py [--suite micro|loop|drain|ml|scaling|all] [-o PATH] [-k EXPR]
 
 Each suite runs under ``pytest-benchmark`` and writes a flat
 ``benchmark name -> median seconds`` JSON next to this file — by
@@ -14,11 +14,9 @@ interactive loop (``bench_loop.py``, delta vs rebuild pipeline),
 (``bench_ml.py``, histogram forest vs exact-sort reference with a
 recorded parity flag), and
 ``benchmarks/BENCH_scaling.json`` for the table-size sweeps
-(``bench_scaling.py``, no-learning + full-pipeline + suggest parity),
-and ``benchmarks/BENCH_shard.json`` for the sharded violation engine
-(``bench_shard.py``, serial vs partition-parallel detect/what-if over
-the synthetic scale-up instances, parity flags recorded) — so the
-performance trajectory is visible across PRs with a one-line diff.
+(``bench_scaling.py``, no-learning + full-pipeline + suggest parity)
+— so the performance trajectory is visible across PRs with a one-line
+diff.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ SUITES = {
     "drain": (BENCH_DIR / "bench_drain.py", BENCH_DIR / "BENCH_drain.json"),
     "ml": (BENCH_DIR / "bench_ml.py", BENCH_DIR / "BENCH_ml.json"),
     "scaling": (BENCH_DIR / "bench_scaling.py", BENCH_DIR / "BENCH_scaling.json"),
-    "shard": (BENCH_DIR / "bench_shard.py", BENCH_DIR / "BENCH_shard.json"),
 }
 
 # backward-compatible alias: older callers import DEFAULT_OUTPUT

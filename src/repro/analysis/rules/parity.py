@@ -2,13 +2,13 @@
 
 Every performance path in this repo earned its keep by reproducing a
 retained reference byte-for-byte: ``pipeline="rebuild"``,
-``drain="sequential"``, ``suggest="scalar"``, ``learner="exact"``,
-``shards=0``. Those references only stay honest while tests keep
-*pinning* them — constructing a run with the reference value and
-comparing it against the optimised default. If the last test naming a
-reference value disappears (or the knob itself is dropped from
-``GDRConfig``), the byte-identity contract is unenforced and future
-divergence lands silently. This rule fails the lint run in both cases.
+``drain="sequential"``, ``suggest="scalar"``, ``learner="exact"``.
+Those references only stay honest while tests keep *pinning* them —
+constructing a run with the reference value and comparing it against
+the optimised default. If the last test naming a reference value
+disappears (or the knob itself is dropped from ``GDRConfig``), the
+byte-identity contract is unenforced and future divergence lands
+silently. This rule fails the lint run in both cases.
 
 The knob spec below is the contract; growing a new mode knob means
 adding it here together with its parity test.
@@ -30,12 +30,11 @@ GDR_MODULE = "src/repro/core/gdr.py"
 CONFIG_CLASS = "GDRConfig"
 
 #: knob -> the retained reference value a parity test must pin.
-REFERENCE_KNOBS: dict[str, object] = {
+REFERENCE_KNOBS: dict[str, str] = {
     "pipeline": "rebuild",
     "drain": "sequential",
     "suggest": "scalar",
     "learner": "exact",
-    "shards": 0,
 }
 
 
@@ -53,12 +52,6 @@ def config_fields(tree: ast.Module) -> set[str] | None:
                             fields.add(target.id)
             return fields
     return None
-
-
-def _matches(value: object, reference: object) -> bool:
-    if isinstance(reference, bool) or isinstance(value, bool):
-        return value is reference
-    return type(value) is type(reference) and value == reference
 
 
 @register
@@ -103,7 +96,7 @@ class ParityCoverageRule(Rule):
             for call in walk_calls(tree):
                 for kw in call.keywords:
                     if kw.arg in REFERENCE_KNOBS and isinstance(kw.value, ast.Constant):
-                        if _matches(kw.value.value, REFERENCE_KNOBS[kw.arg]):
+                        if kw.value.value == REFERENCE_KNOBS[kw.arg]:
                             pinned[kw.arg].append(source.rel)
                 if isinstance(call.func, ast.Name) and call.func.id in local_params:
                     params = local_params[call.func.id]
@@ -111,9 +104,7 @@ class ParityCoverageRule(Rule):
                         if index >= len(params) or not isinstance(arg, ast.Constant):
                             continue
                         knob = params[index]
-                        if knob in REFERENCE_KNOBS and _matches(
-                            arg.value, REFERENCE_KNOBS[knob]
-                        ):
+                        if knob in REFERENCE_KNOBS and arg.value == REFERENCE_KNOBS[knob]:
                             pinned[knob].append(source.rel)
 
         for knob, reference in REFERENCE_KNOBS.items():

@@ -236,8 +236,7 @@ class VOIEstimator:
         # pass 2: one sparse probe per missed cell — all of a cell's
         # candidate values share the probe's per-cell setup, exactly
         # like the dense path's per-cell what_if_many batching.
-        # Providers exposing the bulk entry point (the detector's serial
-        # loop, or the sharded engine's partition-parallel dispatch) get
+        # Providers exposing the bulk entry point (the detector) get
         # every missed cell in one call.
         cell_items = list(miss_by_cell.items())
         moved_many_cells = getattr(self._stats, "what_if_moved_many_cells", None)

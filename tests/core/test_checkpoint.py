@@ -1,6 +1,7 @@
 """Tests for GDREngine.checkpoint / restore / resume (durable sessions)."""
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -158,10 +159,14 @@ class TestRestoreErrors:
             )
 
     def test_bad_format(self, figure1_rules, figure1_clean, tmp_path):
+        # format 1 predates the removal of the `shards` knob: its config
+        # must be refused by the format check, not crash GDRConfig(**config)
+        format_1 = {"format": 1, "config": {**asdict(GDRConfig()), "shards": 0}}
         bad = tmp_path / "bad.cp"
-        bad.write_bytes(pickle.dumps({"format": 99}))
-        with pytest.raises(ConfigError, match="format"):
-            GDREngine.restore(bad, figure1_rules, GroundTruthOracle(figure1_clean))
+        for payload in ({"format": 99}, format_1):
+            bad.write_bytes(pickle.dumps(payload))
+            with pytest.raises(ConfigError, match="format"):
+                GDREngine.restore(bad, figure1_rules, GroundTruthOracle(figure1_clean))
 
     def test_resume_without_restore(
         self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
@@ -178,7 +183,7 @@ class TestHealth:
         )
         engine.run()
         health = engine.health()
-        assert set(health) >= {"sim", "cache", "voi", "guard", "journal", "incidents", "faults"}
+        assert set(health) == {"sim", "cache", "voi", "guard", "journal", "incidents", "faults"}
         assert health["journal"]["seq"] > 0
         assert health["guard"]["ticks"] > 0
         assert health["voi"]["term_memo_size"] >= 0

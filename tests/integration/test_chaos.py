@@ -117,6 +117,46 @@ class TestKillAndRestore:
         assert result.remaining_dirty == clean_result.remaining_dirty
         assert result.improvement == pytest.approx(clean_result.improvement)
 
+    def test_session_killed_twice_at_drain_restores_identically(
+        self, chaos_datasets, tmp_path
+    ):
+        """A resumed session writes its own checkpoints; killed again at
+        the same drain pass, it must restore from those and still end
+        identical to the clean reference."""
+        ds = chaos_datasets["hospital"]
+        clean_db, clean_result = run_clean(ds, "gdr")
+
+        def kill(ctx):
+            raise SessionKilled(f"injected kill at drain pass {ctx['index']}")
+
+        def restore():
+            return GDREngine.restore(
+                tmp_path / "session.cp", ds.rules, GroundTruthOracle(ds.clean), ds.clean
+            )
+
+        engine = make_durable_engine(ds, "gdr", tmp_path)
+        with fault_scope():
+            arm("engine.drain_pass", action=kill, at=1)
+            with pytest.raises(SessionKilled):
+                engine.run(feedback_limit=FEEDBACK_LIMIT)
+        engine.detach()
+
+        resumed = restore()
+        with fault_scope():
+            arm("engine.drain_pass", action=kill, at=1)
+            with pytest.raises(SessionKilled):
+                resumed.resume()
+        resumed.detach()
+
+        restored = restore()
+        result = restored.resume()
+        dump_chaos_log("kill_restore_twice", restored.health())
+        restored.detach()
+        assert restored.db.equals_data(clean_db)
+        assert result.feedback_used == clean_result.feedback_used
+        assert result.remaining_dirty == clean_result.remaining_dirty
+        assert result.improvement == pytest.approx(clean_result.improvement)
+
 
 class TestGuardUnderFaults:
     def test_guard_recovers_injected_stale_benefit(self, chaos_datasets, tmp_path):
@@ -254,74 +294,3 @@ class TestJournalFailures:
         assert result.feedback_used == clean_result.feedback_used
         assert result.remaining_dirty == clean_result.remaining_dirty
 
-
-class TestShardWorkerDeath:
-    """Kill shard workers mid-session; the pool must respawn them and
-    the session must end byte-identical to the serial reference."""
-
-    def _run_sharded(self, ds, preset, kill_at=None):
-        db = ds.fresh_dirty()
-        config = getattr(GDRConfig, preset)(seed=3, shards=2)
-        engine = GDREngine(
-            db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean
-        )
-
-        def kill_worker(ctx):
-            ctx["pool"].kill_worker(ctx["shard"])
-
-        with fault_scope():
-            if kill_at is not None:
-                for at in kill_at:
-                    arm("shard.dispatch", action=kill_worker, at=at)
-            result = engine.run(feedback_limit=FEEDBACK_LIMIT)
-        health = engine.health()
-        engine.detach()
-        return db, result, health
-
-    def test_worker_death_respawns_and_matches(self, chaos_datasets):
-        ds = chaos_datasets["hospital"]
-        undisturbed_db, undisturbed, __ = self._run_sharded(ds, "gdr")
-        killed_db, killed, health = self._run_sharded(ds, "gdr", kill_at=(1, 5))
-        assert killed_db.equals_data(undisturbed_db)
-        assert killed.feedback_used == undisturbed.feedback_used
-        assert killed.final_loss == undisturbed.final_loss
-        assert [
-            (p.feedback, p.loss) for p in killed.trajectory
-        ] == [(p.feedback, p.loss) for p in undisturbed.trajectory]
-        assert health["shards"]["pool_respawns"] >= 1
-        dump_chaos_log("shard_worker_death", health)
-
-    def test_killed_sharded_session_restores_identically(
-        self, chaos_datasets, tmp_path
-    ):
-        # process kill on top of a worker kill: the restored session
-        # must rebuild its own pool and converge on the serial end state
-        ds = chaos_datasets["hospital"]
-        clean_db, clean_result = run_clean(ds, "gdr")
-
-        engine = make_durable_engine(ds, "gdr", tmp_path, shards=2)
-
-        def kill_worker(ctx):
-            ctx["pool"].kill_worker(ctx["shard"])
-
-        def kill(ctx):
-            raise SessionKilled("injected kill mid-drain")
-
-        with fault_scope():
-            arm("shard.dispatch", action=kill_worker, at=1)
-            arm("engine.drain_pass", action=kill, at=1)
-            with pytest.raises(SessionKilled):
-                engine.run(feedback_limit=FEEDBACK_LIMIT)
-        engine.detach()
-
-        restored = GDREngine.restore(
-            tmp_path / "session.cp", ds.rules, GroundTruthOracle(ds.clean), ds.clean
-        )
-        assert restored.config.shards == 2
-        result = restored.resume()
-        dump_chaos_log("shard_kill_restore", restored.health())
-        restored.detach()
-        assert restored.db.equals_data(clean_db)
-        assert result.feedback_used == clean_result.feedback_used
-        assert result.remaining_dirty == clean_result.remaining_dirty
-        assert result.improvement == pytest.approx(clean_result.improvement)
