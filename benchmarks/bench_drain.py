@@ -1,19 +1,20 @@
-"""Drain-phase benchmark: wave-batched vs sequential learner drain.
+"""Drain-phase benchmark: production batched drain vs the oracle's.
 
 Times **only** the Figure 5 automatic phase — "GDR decides about the
 rest of the updates automatically" — by running the interactive phase
 to budget exhaustion in the (untimed) setup and then benchmarking
 ``GDREngine.drain_remaining(restrict=False)`` alone:
 
-* ``test_drain_batched`` — wave-partitioned ``predict_many`` batches
-  against a copy-on-write snapshot view (``GDRConfig.drain="batched"``,
-  the default);
-* ``test_drain_sequential`` — the retained predict-one-apply-one
-  reference.
+* ``test_drain_batched`` — the production engine: wave-partitioned
+  ``predict_many`` batches against a copy-on-write snapshot view;
+* ``test_drain_reference`` — :class:`repro.testing.reference.ReferenceEngine`:
+  full-sweep refresh and predict-one-apply-one
+  (:func:`repro.testing.reference.decide_sequential`) over exact-sort
+  committees.
 
-Both paths must produce identical decisions and final instances
+Both engines must produce identical decisions and final instances
 (cross-checked by ``test_drain_parity``); the recorded medians make the
-batched/sequential ratio visible across PRs in ``BENCH_drain.json``,
+production/oracle ratio visible across PRs in ``BENCH_drain.json``,
 alongside the benefit cache's hit/eviction counters. Scale knobs::
 
     REPRO_DRAIN_N       table size          (default 1000)
@@ -30,24 +31,25 @@ import pytest
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
+from repro.testing.reference import ReferenceEngine
 
 DRAIN_N = int(os.environ.get("REPRO_DRAIN_N", "1000"))
 DRAIN_BUDGET = int(os.environ.get("REPRO_DRAIN_BUDGET", "200"))
 DRAIN_SEED = int(os.environ.get("REPRO_DRAIN_SEED", "0"))
 
-#: Filled per drain mode; the parity test compares the two entries.
-_RESULTS: dict[str, tuple] = {}
+#: Filled per engine class; the parity test compares the two entries.
+_RESULTS: dict[type, tuple] = {}
 
 
-def _prepare(drain: str) -> GDREngine:
+def _prepare(engine_cls: type) -> GDREngine:
     """Run the interactive phase to budget exhaustion; stop pre-drain."""
     dataset = load_dataset("hospital", n=DRAIN_N, seed=DRAIN_SEED)
     db = dataset.fresh_dirty()
-    engine = GDREngine(
+    engine = engine_cls(
         db,
         dataset.rules,
         GroundTruthOracle(dataset.clean),
-        GDRConfig.gdr(seed=DRAIN_SEED, drain=drain),
+        GDRConfig.gdr(seed=DRAIN_SEED),
         clean_db=dataset.clean,
     )
     engine.run(feedback_limit=DRAIN_BUDGET, drain=False)
@@ -67,11 +69,11 @@ def _drain(engine: GDREngine) -> tuple:
     )
 
 
-def _bench_drain(benchmark, drain: str, rounds: int):
+def _bench_drain(benchmark, engine_cls: type, rounds: int):
     outcomes: list[tuple] = []
 
     def setup():
-        return (_prepare(drain),), {}
+        return (_prepare(engine_cls),), {}
 
     def target(engine):
         outcome = _drain(engine)
@@ -85,30 +87,30 @@ def _bench_drain(benchmark, drain: str, rounds: int):
     benchmark.extra_info["remaining_dirty"] = remaining_dirty
     for key, value in cache_stats.items():
         benchmark.extra_info[f"cache.{key}"] = value
-    _RESULTS[drain] = (decided, rows)
+    _RESULTS[engine_cls] = (decided, rows)
 
 
 def test_drain_batched(benchmark):
     """Wave-batched drain (snapshot view + predict_many per wave)."""
-    _bench_drain(benchmark, "batched", rounds=3)
+    _bench_drain(benchmark, GDREngine, rounds=3)
 
 
-def test_drain_sequential(benchmark):
-    """Sequential reference drain (one committee prediction per update)."""
-    _bench_drain(benchmark, "sequential", rounds=1)
+def test_drain_reference(benchmark):
+    """The oracle's drain (one committee prediction per update)."""
+    _bench_drain(benchmark, ReferenceEngine, rounds=1)
 
 
 def test_drain_parity():
-    """Identical decision counts and final instances across drain modes.
+    """Identical decision counts and final instances: production vs oracle.
 
     Relies on the two benchmarks above having populated ``_RESULTS``;
     falls back to running both once when executed standalone.
     """
-    for drain in ("batched", "sequential"):
-        if drain not in _RESULTS:
-            outcome = _drain(_prepare(drain))
-            _RESULTS[drain] = (outcome[0], outcome[2])
-    assert _RESULTS["batched"] == _RESULTS["sequential"]
+    for engine_cls in (GDREngine, ReferenceEngine):
+        if engine_cls not in _RESULTS:
+            outcome = _drain(_prepare(engine_cls))
+            _RESULTS[engine_cls] = (outcome[0], outcome[2])
+    assert _RESULTS[GDREngine] == _RESULTS[ReferenceEngine]
 
 
 if __name__ == "__main__":  # pragma: no cover - manual convenience

@@ -1,19 +1,24 @@
-"""End-to-end interactive-loop benchmark (the PR 2 acceptance bench).
+"""End-to-end interactive-loop benchmark: production engine vs oracle.
 
 Times one full ``GDREngine.run()`` — generation, grouping, VOI ranking,
 labelling sessions, learner drain — on a generated hospital-style
-instance, for both pipelines:
+instance:
 
-* ``test_loop_delta`` — the delta pipeline (incremental refresh, event
-  maintained group index, stamped benefit cache, heap selection);
-* ``test_loop_rebuild`` — the retained rebuild-per-iteration reference;
-* ``test_loop_journal`` — the delta pipeline with the write-ahead
+* ``test_loop_delta`` — the production engine (incremental refresh,
+  event-maintained group index, stamped benefit cache, heap selection,
+  batched suggestions, histogram committees, batched decisions);
+* ``test_loop_reference`` — :class:`repro.testing.reference.ReferenceEngine`,
+  the test oracle built from the reference components (full sweeps and
+  from-scratch ranking, per-cell Algorithm 1, exact-sort committees,
+  predict-one-apply-one decisions);
+* ``test_loop_journal`` — the production engine with the write-ahead
   feedback journal armed, recording ``journal.overhead_vs_delta``
   (the acceptance bound is <= 10% on the tracked full-size run).
 
-Both pipelines must produce identical results (cross-checked inline);
-the recorded medians make the delta/rebuild ratio visible across PRs
-in ``BENCH_loop.json``. Scale knobs::
+Both engines must produce identical results (cross-checked by
+``test_loop_trajectories_identical``); the recorded medians make the
+production/oracle ratio visible across PRs in ``BENCH_loop.json``.
+Scale knobs::
 
     REPRO_LOOP_N       table size          (default 1000)
     REPRO_LOOP_BUDGET  user label budget   (default 200)
@@ -33,48 +38,38 @@ import pytest
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
+from repro.testing.reference import ReferenceEngine, run_signature
 
 LOOP_N = int(os.environ.get("REPRO_LOOP_N", "1000"))
 LOOP_BUDGET = int(os.environ.get("REPRO_LOOP_BUDGET", "200"))
 LOOP_SEED = int(os.environ.get("REPRO_LOOP_SEED", "0"))
 
-#: Filled per pipeline; the parity test compares the two entries.
-_RESULTS: dict[str, tuple] = {}
+#: Filled per engine class; the parity test compares the two entries.
+_RESULTS: dict[type, tuple] = {}
 
 
-def _make_engine(pipeline: str, journal_path: str | None = None):
+def _make_engine(engine_cls: type = GDREngine, journal_path: str | None = None):
     dataset = load_dataset("hospital", n=LOOP_N, seed=LOOP_SEED)
     db = dataset.fresh_dirty()
-    engine = GDREngine(
+    engine = engine_cls(
         db,
         dataset.rules,
         GroundTruthOracle(dataset.clean),
-        GDRConfig.gdr(seed=LOOP_SEED, pipeline=pipeline, journal_path=journal_path),
+        GDRConfig.gdr(seed=LOOP_SEED, journal_path=journal_path),
         clean_db=dataset.clean,
     )
     return db, engine
 
 
-def _run_loop(pipeline: str):
-    db, engine = _make_engine(pipeline)
+def _run_loop(engine_cls: type):
+    db, engine = _make_engine(engine_cls)
     result = engine.run(feedback_limit=LOOP_BUDGET)
     return db, result, engine
 
 
-def _signature(db, result):
-    return (
-        result.feedback_used,
-        result.learner_decisions,
-        result.iterations,
-        result.final_loss,
-        tuple((p.feedback, p.learner_decisions, p.loss) for p in result.trajectory),
-        tuple(tuple(row.values) for row in db.rows()),
-    )
-
-
-def _bench_pipeline(benchmark, pipeline: str, rounds: int):
+def _bench_engine(benchmark, engine_cls: type, rounds: int):
     db, result, engine = benchmark.pedantic(
-        lambda: _run_loop(pipeline), rounds=rounds, iterations=1, warmup_rounds=0
+        lambda: _run_loop(engine_cls), rounds=rounds, iterations=1, warmup_rounds=0
     )
     assert 0 < result.feedback_used <= LOOP_BUDGET
     assert result.improvement > 0
@@ -85,18 +80,18 @@ def _bench_pipeline(benchmark, pipeline: str, rounds: int):
         benchmark.extra_info[f"cache.{key}"] = value
     for key, value in health["sim"].items():
         benchmark.extra_info[f"sim.{key}"] = value
-    _RESULTS[pipeline] = _signature(db, result)
+    _RESULTS[engine_cls] = run_signature(db, result)
     return result
 
 
 def test_loop_delta(benchmark):
-    """Full interactive loop on the delta pipeline."""
-    _bench_pipeline(benchmark, "delta", rounds=3)
+    """Full interactive loop on the production engine."""
+    _bench_engine(benchmark, GDREngine, rounds=3)
 
 
-def test_loop_rebuild(benchmark):
-    """Full interactive loop on the rebuild-per-iteration reference."""
-    _bench_pipeline(benchmark, "rebuild", rounds=1)
+def test_loop_reference(benchmark):
+    """Full interactive loop on the reference oracle."""
+    _bench_engine(benchmark, ReferenceEngine, rounds=1)
 
 
 def test_loop_journal(benchmark):
@@ -117,7 +112,7 @@ def test_loop_journal(benchmark):
     def setup():
         tmp = tempfile.mkdtemp(prefix="repro-bench-journal-")
         tmpdirs.append(tmp)
-        db, engine = _make_engine("delta", os.path.join(tmp, "journal.jsonl"))
+        db, engine = _make_engine(journal_path=os.path.join(tmp, "journal.jsonl"))
         engines.append(engine)
         return (db, engine), {}
 
@@ -134,13 +129,13 @@ def test_loop_journal(benchmark):
 
         baseline: list[float] = []
         for _ in range(rounds):
-            db0, engine0 = _make_engine("delta")
+            db0, engine0 = _make_engine()
             start = time.perf_counter()
             result0 = engine0.run(feedback_limit=LOOP_BUDGET)
             baseline.append(time.perf_counter() - start)
             engine0.detach()
         # durability must not change a single decision or write
-        assert _signature(db, result) == _signature(db0, result0)
+        assert run_signature(db, result) == run_signature(db0, result0)
 
         overhead = statistics.median(durations) / statistics.median(baseline) - 1.0
         benchmark.extra_info["journal.overhead_vs_delta"] = round(overhead, 4)
@@ -158,16 +153,16 @@ def test_loop_journal(benchmark):
 
 
 def test_loop_trajectories_identical():
-    """Byte-identical ``GDRResult`` trajectories across the pipelines.
+    """Byte-identical ``GDRResult`` trajectories: production vs oracle.
 
     Relies on the two benchmarks above having populated ``_RESULTS``;
     falls back to running both once when executed standalone.
     """
-    for pipeline in ("delta", "rebuild"):
-        if pipeline not in _RESULTS:
-            db, result, __ = _run_loop(pipeline)
-            _RESULTS[pipeline] = _signature(db, result)
-    assert _RESULTS["delta"] == _RESULTS["rebuild"]
+    for engine_cls in (GDREngine, ReferenceEngine):
+        if engine_cls not in _RESULTS:
+            db, result, __ = _run_loop(engine_cls)
+            _RESULTS[engine_cls] = run_signature(db, result)
+    assert _RESULTS[GDREngine] == _RESULTS[ReferenceEngine]
 
 
 if __name__ == "__main__":  # pragma: no cover - manual convenience

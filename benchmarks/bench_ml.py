@@ -7,8 +7,9 @@ feedback classes — the exact workload :class:`repro.core.FeedbackLearner`
 produces):
 
 * ``test_fit_hist`` / ``test_fit_exact`` — cold committee fit
-  (``GDRConfig(learner="hist")`` vs the retained exact-sort reference;
-  the hist timing includes binning, so the ratio is end-to-end);
+  (the production :class:`repro.core.FeedbackLearner` committee vs the
+  exact-sort one :class:`repro.testing.reference.ReferenceLearner`
+  fits; the hist timing includes binning, so the ratio is end-to-end);
 * ``test_predict_hist`` / ``test_predict_exact`` — batched committee
   inference over a drain-sized probe matrix (packed node arenas vs the
   per-tree reference walk);
@@ -92,7 +93,7 @@ def _committees_match(hist, exact) -> bool:
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fit_exact(benchmark, n):
-    """Cold fit, exact-sort CART reference (``learner="exact"``)."""
+    """Cold fit, exact-sort CART reference (the oracle learner's committee)."""
     X, y = make_examples(n)
 
     def fit():

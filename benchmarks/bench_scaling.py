@@ -11,8 +11,10 @@ tracked in ``BENCH_scaling.json`` (``run_bench.py --suite scaling``):
   batched suggestion engine, learner drain) at N=1000/2000/5000, the
   scale the vectorized suggestion engine is built for.
 
-``test_scaling_suggest_parity`` cross-checks the batched suggestion
-engine against the scalar reference at the smallest size and records
+``test_scaling_suggest_parity`` cross-checks the production engine
+(batched suggestion engine included) against the oracle,
+:class:`repro.testing.reference.ReferenceEngine` (per-cell Algorithm 1
+and the other reference components), at the smallest size and records
 the similarity-cache counters. Scale knobs::
 
     REPRO_SCALING_SIZES   comma-separated learning-sweep sizes
@@ -31,6 +33,7 @@ from conftest import BENCH_SEED, publish
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
+from repro.testing.reference import ReferenceEngine, run_signature
 
 _SIZES = (200, 400, 800)
 
@@ -44,10 +47,10 @@ def _budget(n: int) -> int:
     return max(20, _BUDGET_PER_1000 * n // 1000)
 
 
-def _run(n: int, config: GDRConfig, budget: int | None = None):
+def _run(n: int, config: GDRConfig, budget: int | None = None, engine_cls: type = GDREngine):
     ds = load_dataset("hospital", n=n, seed=BENCH_SEED)
     db = ds.fresh_dirty()
-    engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    engine = engine_cls(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     start = time.perf_counter()
     result = engine.run(feedback_limit=budget)
     return time.perf_counter() - start, result, engine, db
@@ -125,34 +128,21 @@ def test_scaling_learning(benchmark):
 
 
 def test_scaling_suggest_parity(benchmark):
-    """Batched vs scalar suggestion engine: byte-identical at scale.
+    """Production engine vs the reference oracle: byte-identical at scale.
 
-    Runs both modes at the smallest learning size and asserts the
+    Runs both engines at the smallest learning size and asserts the
     ``GDRResult`` signatures (and final instances) agree, publishing
-    the batched run's similarity-cache counters — the parity counters
-    CI asserts on.
+    the production run's similarity-cache counters — the parity
+    counters CI asserts on.
     """
     n = min(_LEARN_SIZES)
     budget = _budget(n)
-
-    def signature(result, db):
-        return (
-            result.feedback_used,
-            result.learner_decisions,
-            result.iterations,
-            result.final_loss,
-            tuple((p.feedback, p.learner_decisions, p.loss) for p in result.trajectory),
-            tuple(tuple(row.values) for row in db.rows()),
-        )
+    config = GDRConfig.gdr(seed=BENCH_SEED)
 
     def both():
-        __, result_b, engine_b, db_b = _run(
-            n, GDRConfig.gdr(seed=BENCH_SEED, suggest="batched"), budget=budget
-        )
-        __, result_s, __, db_s = _run(
-            n, GDRConfig.gdr(seed=BENCH_SEED, suggest="scalar"), budget=budget
-        )
-        return signature(result_b, db_b), signature(result_s, db_s), engine_b
+        __, result_b, engine_b, db_b = _run(n, config, budget=budget)
+        __, result_s, __, db_s = _run(n, config, budget=budget, engine_cls=ReferenceEngine)
+        return run_signature(db_b, result_b), run_signature(db_s, result_s), engine_b
 
     sig_b, sig_s, engine = benchmark.pedantic(both, rounds=1, iterations=1)
     assert sig_b == sig_s

@@ -31,8 +31,8 @@ for a cell in one pass: the tuple's removal from its partitions is
 computed once, then each candidate costs O(1) reads of the partition
 statistics. The scalar :meth:`ViolationDetector.what_if` is a thin
 wrapper over the batched path; the original apply-and-revert
-implementation (byte-identical to the real update path) is kept as
-``_what_if_reference`` for parity testing.
+implementation (byte-identical to the real update path) is the test
+oracle :func:`repro.testing.reference.what_if_reference`.
 """
 
 from __future__ import annotations
@@ -1630,47 +1630,6 @@ class ViolationDetector:
             )
             self._probe_plans[attribute] = entry
         return entry
-
-    def _what_if_reference(
-        self, tid: int, attribute: str, value: object
-    ) -> dict[CFD, WhatIfOutcome]:
-        """Apply-and-revert what-if: byte-identical to the update path.
-
-        The pre-batching implementation, kept as the ground truth the
-        analytic paths are parity-tested against: the cell change is
-        pushed through the same ``update_cell`` machinery as a real
-        write, the statistics are read, and the change is replayed back.
-        """
-        states = self._states_by_attr.get(attribute)
-        if not states:
-            return {}
-        values = list(self.db.values_snapshot(tid))
-        pos = self.db.schema.position(attribute)
-        old_value = values[pos]
-        if old_value == value:
-            return {
-                state.rule: WhatIfOutcome(
-                    vio_before=state.total_vio,
-                    vio_after=state.total_vio,
-                    satisfying_after=state.context_size - state.violating_count,
-                )
-                for state in states
-            }
-        outcomes: dict[CFD, WhatIfOutcome] = {}
-        values[pos] = value
-        for state in states:
-            vio_before = state.total_vio
-            state.update_cell(tid, values)
-            outcomes[state.rule] = WhatIfOutcome(
-                vio_before=vio_before,
-                vio_after=state.total_vio,
-                satisfying_after=state.context_size - state.violating_count,
-            )
-        # revert: replay the original values through the same path
-        values[pos] = old_value
-        for state in states:
-            state.update_cell(tid, values)
-        return outcomes
 
     # ------------------------------------------------------------------
     def verify(self) -> bool:

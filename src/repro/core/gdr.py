@@ -47,7 +47,6 @@ from repro.errors import ConfigError
 from repro.testing.faults import fault_hit
 from repro.repair.candidate import CandidateUpdate
 from repro.repair.consistency import ConsistencyManager
-from repro.repair.feedback import UserFeedback
 from repro.repair.generator import UpdateGenerator
 from repro.repair.similarity import SimilarityCache
 from repro.repair.state import RepairState
@@ -56,15 +55,16 @@ __all__ = ["GDRConfig", "GDREngine", "GDRResult"]
 
 _RANKINGS = ("voi", "greedy", "random")
 _LEARNINGS = ("active", "passive", "none")
-_PIPELINES = ("delta", "rebuild")
-_DRAINS = ("batched", "sequential")
-_SUGGESTS = ("batched", "scalar")
-_LEARNERS = ("hist", "exact")
 
 
 @dataclass(slots=True)
 class GDRConfig:
     """Tunable knobs of the GDR engine.
+
+    Every knob shapes *what* the engine does, never *how*: each
+    component has one production implementation. The slow,
+    obviously-correct references the fast paths are tested against
+    live in :class:`repro.testing.reference.ReferenceEngine`, not here.
 
     Attributes
     ----------
@@ -88,51 +88,14 @@ class GDRConfig:
         Master seed for every stochastic component.
     max_iterations:
         Safety cap on interactive iterations.
-    pipeline:
-        ``"delta"`` (default) drives each iteration from incremental
-        structures — O(delta) suggestion refresh, the event-maintained
-        :class:`~repro.core.grouping.GroupIndex` and the stamped
-        :class:`~repro.core.voi.GroupBenefitCache` — so iteration cost
-        scales with what the last batch touched. ``"rebuild"`` re-scans,
-        re-groups and re-scores everything per iteration: the original
-        reference path, kept because the delta path is required (and
-        tested) to reproduce its results byte-for-byte.
-    drain:
-        ``"batched"`` (default) runs every learner decision path — the
-        post-budget drain and in-session delegation — through
-        wave-partitioned ``predict_many`` batches against a
-        copy-on-write snapshot view. ``"sequential"`` is the retained
-        predict-one-apply-one reference; the batched path reproduces
-        its ``GDRResult`` byte-for-byte (tested across presets and
-        datasets).
     voi_cache_capacity:
         Entry bound for the benefit cache's p̃ memo and row-version
         map (LRU / generation eviction); the default comfortably holds
         million-tuple instances while keeping memory bounded.
-    suggest:
-        ``"batched"`` (default) runs Algorithm 1 through the vectorized
-        suggestion engine — cells batched per refresh, witness-signature
-        decision sharing, candidate pools scored in code space through
-        the batched Eq. 7 Levenshtein kernel. ``"scalar"`` is the
-        retained per-cell reference path (one Python DP per candidate
-        pair); the batched path reproduces its ``GDRResult``
-        byte-for-byte (tested across presets and datasets).
-    learner:
-        ``"hist"`` (default) trains the per-attribute committees as
-        histogram forests over warm, incrementally binned training
-        matrices — the fused split search and batched inference of
-        :class:`~repro.ml.forest.HistogramForestClassifier`.
-        ``"exact"`` keeps the exact-sort CART committees: the retained
-        reference, which the histogram path reproduces bit for bit
-        (same models, predictions and repair trajectories — tested
-        across presets and datasets).
     sim_cache_capacity:
         Entry bound for the engine-owned Eq. 7 similarity cache (the
         code-space pair memo shared by the generator and the learner's
-        feature encoder). The cache replaces the old module-global
-        ``lru_cache``, which leaked entries across engines and datasets
-        in one process; hit/miss counters are exposed through
-        ``GDREngine.sim_cache.stats``.
+        feature encoder); counters in ``GDREngine.sim_cache.stats``.
     guard / guard_interval / guard_max_incidents:
         When *guard* is on, an :class:`~repro.core.guard.InvariantGuard`
         audits the live incremental structures against their reference
@@ -175,11 +138,7 @@ class GDRConfig:
     voi_prior: str = "score"
     seed: int = 0
     max_iterations: int = 100_000
-    pipeline: str = "delta"
-    drain: str = "batched"
     voi_cache_capacity: int = 1 << 20
-    suggest: str = "batched"
-    learner: str = "hist"
     sim_cache_capacity: int = 1 << 20
     guard: bool = False
     guard_interval: int = 4
@@ -196,18 +155,26 @@ class GDRConfig:
             raise ConfigError(f"learning must be one of {_LEARNINGS}, got {self.learning!r}")
         if self.voi_prior not in ("score", "uniform"):
             raise ConfigError(f"voi_prior must be 'score' or 'uniform', got {self.voi_prior!r}")
-        if self.pipeline not in _PIPELINES:
-            raise ConfigError(f"pipeline must be one of {_PIPELINES}, got {self.pipeline!r}")
-        if self.drain not in _DRAINS:
-            raise ConfigError(f"drain must be one of {_DRAINS}, got {self.drain!r}")
+        # fail here, not at the first committee refit after the user has
+        # already answered questions
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if self.min_labels < 0:
+            raise ConfigError(f"min_labels must be >= 0, got {self.min_labels!r}")
+        if self.n_estimators < 1:
+            raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators!r}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ConfigError(f"max_depth must be None or >= 1, got {self.max_depth!r}")
+        if not self.max_decision_uncertainty >= 0:
+            # a negative bound silently vetoes every learner decision
+            raise ConfigError(
+                "max_decision_uncertainty must be >= 0, "
+                f"got {self.max_decision_uncertainty!r}"
+            )
         if self.voi_cache_capacity < 1:
             raise ConfigError(
                 f"voi_cache_capacity must be positive, got {self.voi_cache_capacity!r}"
             )
-        if self.suggest not in _SUGGESTS:
-            raise ConfigError(f"suggest must be one of {_SUGGESTS}, got {self.suggest!r}")
-        if self.learner not in _LEARNERS:
-            raise ConfigError(f"learner must be one of {_LEARNERS}, got {self.learner!r}")
         if self.sim_cache_capacity < 1:
             raise ConfigError(
                 f"sim_cache_capacity must be positive, got {self.sim_cache_capacity!r}"
@@ -330,6 +297,13 @@ class GDREngine:
     'Michigan City'
     """
 
+    # component seams: the one place a subclass swaps an implementation
+    # (:class:`repro.testing.reference.ReferenceEngine` plugs in the
+    # slow reference components the parity tests compare against)
+    _generator_class = UpdateGenerator
+    _learner_class = FeedbackLearner
+    _session_class = InteractiveSession
+
     def __init__(
         self,
         db: Database,
@@ -354,25 +328,19 @@ class GDREngine:
         self.sim_cache = SimilarityCache(
             db.columns, capacity=self.config.sim_cache_capacity
         )
-        self.generator = UpdateGenerator(
-            db,
-            rules,
-            self.detector,
-            self.state,
-            sim=self.sim_cache,
-            batched=self.config.suggest == "batched",
+        self.generator = self._generator_class(
+            db, rules, self.detector, self.state, sim=self.sim_cache
         )
         self.manager = ConsistencyManager(db, rules, self.detector, self.state, self.generator)
         self.learner: FeedbackLearner | None = None
         if self.config.learning != "none":
-            self.learner = FeedbackLearner(
+            self.learner = self._learner_class(
                 db.schema,
                 sim=self.sim_cache,
                 n_estimators=self.config.n_estimators,
                 max_depth=self.config.max_depth,
                 min_examples=self.config.min_examples,
                 seed=self.config.seed,
-                kind=self.config.learner,
             )
         self.voi = VOIEstimator(self.detector)
         self.strategy = self._build_strategy()
@@ -389,21 +357,19 @@ class GDREngine:
         # partition, and (for VOI ranking) the stamped benefit cache.
         # Attached before the initial generation pass so every
         # suggestion flows through the event stream.
-        self.group_index: GroupIndex | None = None
+        self.group_index = GroupIndex(self.state, grouping=self.config.grouping)
         self.benefit_cache: GroupBenefitCache | None = None
-        if self.config.pipeline == "delta":
-            self.group_index = GroupIndex(self.state, grouping=self.config.grouping)
-            if self.config.ranking == "voi":
-                self.benefit_cache = GroupBenefitCache(
-                    self.voi,
-                    self.group_index,
-                    self.detector,
-                    db,
-                    self.learner,
-                    probability_many=self.probability_many,
-                    prob_memo_capacity=self.config.voi_cache_capacity,
-                    row_version_capacity=self.config.voi_cache_capacity,
-                )
+        if self.config.ranking == "voi":
+            self.benefit_cache = GroupBenefitCache(
+                self.voi,
+                self.group_index,
+                self.detector,
+                db,
+                self.learner,
+                probability_many=self.probability_many,
+                prob_memo_capacity=self.config.voi_cache_capacity,
+                row_version_capacity=self.config.voi_cache_capacity,
+            )
 
         # robustness layer: write-ahead journal + invariant guard
         self.journal: FeedbackJournal | None = None
@@ -465,8 +431,7 @@ class GDREngine:
         self.detector.detach()
         self.manager.detach()
         self.generator.detach()
-        if self.group_index is not None:
-            self.group_index.detach()
+        self.group_index.detach()
         if self.benefit_cache is not None:
             self.benefit_cache.detach()
         if self.journal is not None:
@@ -479,7 +444,8 @@ class GDREngine:
     # ------------------------------------------------------------------
     # bumped whenever a GDRConfig field goes: an older payload's config
     # must be refused here, not crash GDRConfig(**config) in restore
-    _CHECKPOINT_FORMAT = 2
+    # (3: the pipeline/drain/suggest/learner mode fields are gone)
+    _CHECKPOINT_FORMAT = 3
 
     def checkpoint(self, path: str | Path) -> None:
         """Serialise the full session state to *path*, atomically.
@@ -768,7 +734,7 @@ class GDREngine:
                 TrajectoryPoint(budget.used, learner_decisions, self.current_loss())
             )
 
-        session = InteractiveSession(
+        session = self._session_class(
             self.db,
             self.state,
             self.manager,
@@ -778,7 +744,6 @@ class GDREngine:
             batch_size=self.config.batch_size,
             seed=self.config.seed,
             max_decision_uncertainty=self.config.max_decision_uncertainty,
-            drain=self.config.drain,
         )
         if _resume is not None:
             session.rng_state = _resume["session_rng"]
@@ -802,7 +767,6 @@ class GDREngine:
             }
 
         auto_path = self.config.checkpoint_path
-        delta = self.group_index is not None
         phase = _resume["phase"] if _resume is not None else "interactive"
         while (
             phase == "interactive"
@@ -815,21 +779,10 @@ class GDREngine:
             self._loop_state = capture("interactive")
             if auto_path is not None and result.iterations % self.config.checkpoint_every == 0:
                 self.checkpoint(auto_path)
-            if delta:
-                self.manager.refresh_suggestions()
-                if len(self.state) == 0:
-                    break
-                group, benefit, max_benefit, group_count = self._pick_top_group()
-            else:
-                self.manager.refresh_suggestions_full()
-                updates = self.state.updates()
-                if not updates:
-                    break
-                groups = group_updates(updates, grouping=self.config.grouping)
-                ranked = self.strategy.rank(groups, self.probability)
-                group, benefit = ranked[0]
-                max_benefit = max(score for __, score in ranked)
-                group_count = len(groups)
+            picked = self._next_group()
+            if picked is None:
+                break
+            group, benefit, max_benefit, group_count = picked
             if self.config.learning == "none" or not self.config.use_benefit_quota:
                 quota = group.size
             else:
@@ -856,7 +809,7 @@ class GDREngine:
             if auto_path is not None:
                 self.checkpoint(auto_path)
             # the callback increments learner_decisions for every decision
-            self._drain_with_learner(on_learner_decision)
+            self.drain_remaining(on_learner_decision)
 
         result.feedback_used = budget.used
         result.learner_decisions = learner_decisions
@@ -867,11 +820,32 @@ class GDREngine:
         return result
 
     # ------------------------------------------------------------------
-    def _pick_top_group(self) -> tuple[UpdateGroup, float, float, int]:
-        """Delta-path group selection: ``(group, benefit, max benefit, #groups)``.
+    def _next_group(self) -> tuple[UpdateGroup, float, float, int] | None:
+        """Step 9 refresh, then :meth:`_pick_top_group`; ``None`` once the pool is empty."""
+        self.manager.refresh_suggestions()
+        if len(self.state) == 0:
+            return None
+        return self._pick_top_group()
 
-        Reproduces the rebuild path's ``strategy.rank(...)[0]`` choice
-        without re-scoring the world:
+    def _rank_full(
+        self, groups: list[UpdateGroup] | None = None
+    ) -> tuple[UpdateGroup, float, float, int]:
+        """Rank *groups* (default: the whole pool re-grouped) from scratch.
+
+        The reference selection the incremental structures reproduce;
+        the guard routes a degraded step through it.
+        """
+        if groups is None:
+            groups = group_updates(self.state.updates(), grouping=self.config.grouping)
+        ranked = self.strategy.rank(groups, self.probability)
+        group, benefit = ranked[0]
+        return group, benefit, max(score for __, score in ranked), len(ranked)
+
+    def _pick_top_group(self) -> tuple[UpdateGroup, float, float, int]:
+        """Incremental group selection: ``(group, benefit, max benefit, #groups)``.
+
+        Reproduces :meth:`_rank_full`'s choice without re-scoring the
+        world:
 
         * VOI — the benefit cache re-scores only stale groups and
           heap-selects the top; the top's benefit *is* the maximum
@@ -880,22 +854,19 @@ class GDREngine:
           index; the score (and thus the maximum score) is the top
           group's size.
         * Random — one permutation over the index's group list,
-          consuming the RNG exactly like the rebuild path.
+          consuming the RNG exactly like the full ranking.
         """
         index = self.group_index
         if self.guard is not None:
             # graceful degradation: an audit that just recovered the
             # partition or the benefit cache routes this one selection
-            # through the rebuild reference; the repaired structure is
+            # through the full ranking; the repaired structure is
             # trusted again from the next iteration on
             degraded = self.guard.consume_degraded("benefit_cache")
             if self.guard.consume_degraded("group_index"):
                 degraded = True
             if degraded:
-                groups = group_updates(self.state.updates(), grouping=self.config.grouping)
-                ranked = self.strategy.rank(groups, self.probability)
-                group, benefit = ranked[0]
-                return group, benefit, max(score for __, score in ranked), len(ranked)
+                return self._rank_full()
         if self.benefit_cache is not None:
             group, benefit = self.benefit_cache.top(self.probability)
             return group, benefit, benefit, len(index)
@@ -912,9 +883,7 @@ class GDREngine:
                     best_key, best_size = key, size
             group = index.group(best_key)
             return group, float(best_size), float(best_size), len(index)
-        ranked = self.strategy.rank(index.groups(), self.probability)
-        group, benefit = ranked[0]
-        return group, benefit, max(score for __, score in ranked), len(ranked)
+        return self._rank_full(index.groups())
 
     # ------------------------------------------------------------------
     def drain_remaining(
@@ -923,71 +892,47 @@ class GDREngine:
         restrict: bool | None = None,
         max_passes: int = 25,
     ) -> int:
-        """Run the Figure 5 automatic phase on demand.
+        """Run the Figure 5 automatic phase: the learner decides what remains.
 
-        Lets the learner decide the remaining suggestions — the
-        protocol's "GDR decides about the rest of the updates
-        automatically". *restrict* ``None`` honours the engine's
-        grouping locality (decisions stay inside group contexts the
-        user inspected); ``False`` decides the whole remaining pool,
-        the literal Figure 5 reading (and what the drain benchmark
-        exercises). Returns the number of decisions made.
+        The user affords ``F`` labels, then "GDR decides about the rest
+        of the updates automatically"; :meth:`run` ends with this unless
+        called with ``drain=False``. *restrict* ``None`` honours the
+        engine's grouping locality: decisions stay inside group contexts
+        the user inspected — the model has only adapted locally to
+        those (§5.2) and deciding unseen contexts is how a committee
+        becomes confidently wrong. ``False`` decides the whole remaining
+        pool, the literal Figure 5 reading (and what the drain benchmark
+        exercises). Passes repeat because decisions regenerate
+        suggestions; the drain stops at a fixpoint or after
+        *max_passes*. Returns the number of decisions made.
+
+        Each pass runs one batched committee pass over every candidate
+        against a copy-on-write snapshot view and applies the decisions
+        in order (:func:`~repro.core.session.decide_batched`). That
+        reproduces predict-one-apply-one byte-for-byte because
+        predictions are pure, no model refits happen mid-drain, an apply
+        writes only its own tuple, and updates whose tuple *was* written
+        earlier in the pass are re-predicted at their turn.
         """
         if self.learner is None:
             return 0
-        callback = on_learner_decision if on_learner_decision is not None else lambda: None
-        return self._drain_with_learner(callback, max_passes=max_passes, restrict=restrict)
-
-    def _drain_with_learner(
-        self, on_learner_decision, max_passes: int = 25, restrict: bool | None = None
-    ) -> int:
-        """After the user stops, let the learner decide what remains.
-
-        This is the Figure 5 protocol: the user affords ``F`` labels,
-        then "GDR decides about the rest of the updates automatically".
-        With grouping enabled, decisions stay inside group contexts the
-        user actually inspected — the model has only adapted locally to
-        those (§5.2) and deciding unseen contexts is how a committee
-        becomes confidently wrong. Passes repeat because decisions
-        regenerate suggestions; the drain stops at a fixpoint or after
-        *max_passes*.
-
-        Per pass, the default ``drain="batched"`` path runs one
-        batched committee pass over every candidate against a
-        copy-on-write snapshot view and applies the decisions in order
-        (:func:`~repro.core.session.decide_batched`) — the
-        ``drain="sequential"`` reference (one committee prediction per
-        update, retained below) is reproduced byte-for-byte because
-        predictions are pure, no model refits happen mid-drain, an
-        apply writes only its own tuple, and updates whose tuple *was*
-        written earlier in the pass are re-predicted at their turn.
-        """
         decided = 0
         if restrict is None:
             restrict = self.config.grouping
-        delta = self.group_index is not None
-        batched = self.config.drain == "batched"
 
         def callback() -> None:
             fault_hit("drain.decision", decided=decided)
-            on_learner_decision()
+            if on_learner_decision is not None:
+                on_learner_decision()
 
         for _pass in range(max_passes):
             fault_hit("engine.drain_pass", index=_pass)
             if self.guard is not None:
                 self.guard.tick()
-            if delta:
-                self.manager.refresh_suggestions()
-                updates = self._drain_candidates(restrict)
-            else:
-                self.manager.refresh_suggestions_full()
-                updates = self.state.updates()
+            updates = self._drain_pool(restrict)
             if not updates:
                 break
-            if batched:
-                progress = self._drain_pass_batched(updates, restrict, callback)
-            else:
-                progress = self._drain_pass_sequential(updates, restrict, callback)
+            progress = self._drain_pass(updates, callback)
             decided += progress
             if progress == 0:
                 break
@@ -998,59 +943,28 @@ class GDREngine:
             self.learner, self.config.max_decision_uncertainty, update, prediction
         )
 
-    def _drain_pass_sequential(
-        self, updates: list[CandidateUpdate], restrict: bool, on_learner_decision
-    ) -> int:
-        """One predict-one-apply-one drain pass (the reference path)."""
-        progress = 0
-        for update in updates:
-            if not self.state.contains(update):
-                continue
-            if restrict and update.group_key not in self._visited_groups:
-                continue
-            row = self.db.values_snapshot(update.tid)
-            prediction = self.learner.predict(update, row)
-            if not self._decision_allowed(update, prediction):
-                continue
-            self.manager.apply_feedback(
-                update, UserFeedback(prediction.feedback), source="learner"
-            )
-            progress += 1
-            on_learner_decision()
-        return progress
+    def _drain_pass(self, updates: list[CandidateUpdate], on_learner_decision) -> int:
+        """Decide one pass's candidates in order; returns the decisions made.
 
-    def _drain_pass_batched(
-        self, updates: list[CandidateUpdate], restrict: bool, on_learner_decision
-    ) -> int:
-        """One batched drain pass (byte-identical to sequential).
-
-        The group-locality filter is applied up front (membership is
-        static within a pass); liveness is re-checked per update at its
-        apply turn, exactly where the sequential path checks it — an
-        update invalidated by an earlier apply in the pass is predicted
+        Liveness is re-checked per update at its apply turn: an update
+        invalidated by an earlier apply in the pass is predicted
         wastefully but never applied, and a suggestion regenerated
-        identically mid-pass is applied just as the reference would.
+        identically mid-pass is applied just as predict-one-apply-one
+        would.
         """
-        if restrict:
-            updates = [u for u in updates if u.group_key in self._visited_groups]
+        gate = self._decision_allowed
         return decide_batched(
-            self.db,
-            self.learner,
-            self.state,
-            self.manager,
-            updates,
-            self._decision_allowed,
-            on_learner_decision,
+            self.db, self.learner, self.state, self.manager, updates, gate, on_learner_decision
         )
 
-    def _drain_candidates(self, restrict: bool) -> list[CandidateUpdate]:
-        """Live updates the drain may decide, in cell order.
+    def _drain_pool(self, restrict: bool) -> list[CandidateUpdate]:
+        """Step 9 refresh, then the live updates the drain may decide, in cell order.
 
         With grouping locality active, reads only the visited groups'
         members off the index instead of filtering the whole pool —
-        the same set (and order) the rebuild path's filtered scan
-        visits.
+        the same set (and order) a filtered scan of the pool visits.
         """
+        self.manager.refresh_suggestions()
         if not restrict:
             return self.state.updates()
         members: list[CandidateUpdate] = []

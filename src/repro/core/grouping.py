@@ -10,8 +10,8 @@ CT".
 Two implementations coexist:
 
 * :func:`group_updates` rebuilds the partition from scratch — the
-  reference path, still used by the rebuild pipeline and by parity
-  checks;
+  reference path, used by :class:`repro.testing.reference.ReferenceEngine`,
+  by the guard's degraded selection step and by parity checks;
 * :class:`GroupIndex` maintains the partition *incrementally* from
   :class:`~repro.repair.state.RepairState` mutation events, so the
   interactive loop re-groups in O(changed suggestions) instead of

@@ -5,8 +5,9 @@ maintained structures — the event-driven
 :class:`~repro.core.grouping.GroupIndex`, the stamp-guarded
 :class:`~repro.core.voi.GroupBenefitCache`, the code-space
 :class:`~repro.repair.similarity.SimilarityCache` and the columnar
-mirror. Each keeps its rebuild-from-scratch reference path alive for
-parity testing; the guard turns those references into a *runtime*
+mirror. Each has a from-scratch reference it is tested against
+(:class:`repro.testing.reference.ReferenceEngine` runs the ranking
+ones end to end); the guard turns those references into a *runtime*
 safety net:
 
 * every engine iteration calls :meth:`InvariantGuard.tick`; every
@@ -15,7 +16,7 @@ safety net:
 * a divergence is recorded as a structured :class:`Incident` and the
   corrupted component alone is evicted/rebuilt. For the ranking
   structures (``group_index``, ``benefit_cache``) the next group
-  selection additionally runs through the rebuild reference path
+  selection additionally runs through the from-scratch ranking
   (*graceful degradation* — one slow step instead of a crash or a
   silently wrong ranking); for ``sim_cache`` and ``columns`` the
   recovery action itself (clear / re-encode) already restores
@@ -202,8 +203,6 @@ class InvariantGuard:
     # -- group index ---------------------------------------------------
     def _audit_group_index(self) -> list[Incident]:
         index = self.engine.group_index
-        if index is None:
-            return []
         if index.verify():
             return []
         incident = self._record(

@@ -38,10 +38,8 @@ from repro.testing.faults import fault_hit
 
 __all__ = ["FeedbackLearner", "LearnerPrediction"]
 
-#: Committee implementations selectable per learner (and through
-#: ``GDRConfig(learner=...)``): the histogram forest is the default and
-#: is bit-identical to the exact-sort reference it replaces.
-LEARNER_KINDS = ("hist", "exact")
+#: :meth:`FeedbackLearner.export_state` layout; restore refuses any other.
+_STATE_FORMAT = 2
 
 
 class _ExampleStore:
@@ -197,13 +195,11 @@ class FeedbackLearner:
         user.
     seed:
         Base random seed; attribute models get independent streams.
-    kind:
-        ``"hist"`` (default) trains
-        :class:`~repro.ml.forest.HistogramForestClassifier` committees
-        from warm, incrementally binned training matrices; ``"exact"``
-        keeps the exact-sort reference committees. The two produce
-        bit-identical models, so every prediction, version and repair
-        trajectory agrees between them.
+
+    Committees are :class:`~repro.ml.forest.HistogramForestClassifier`
+    forests trained from warm, incrementally binned training matrices;
+    they are bit-identical to exact-sort CART committees (the reference
+    :class:`repro.testing.reference.ReferenceLearner` fits).
     """
 
     def __init__(
@@ -217,10 +213,7 @@ class FeedbackLearner:
         trust_min_samples: int = 8,
         trust_min_accuracy: float = 0.85,
         seed: int = 0,
-        kind: str = "hist",
     ) -> None:
-        if kind not in LEARNER_KINDS:
-            raise ConfigError(f"kind must be one of {LEARNER_KINDS}, got {kind!r}")
         self.schema = schema
         self.encoder = UpdateExampleEncoder(schema, sim)
         self.n_estimators = n_estimators
@@ -230,7 +223,6 @@ class FeedbackLearner:
         self.trust_min_samples = trust_min_samples
         self.trust_min_accuracy = trust_min_accuracy
         self._seed = seed
-        self.kind = kind
         self._stores: dict[str, _ExampleStore] = {
             a: _ExampleStore(self.encoder.n_features) for a in schema.attributes
         }
@@ -307,30 +299,23 @@ class FeedbackLearner:
         # zlib.crc32 is stable across processes (unlike hash(), which is
         # randomised by PYTHONHASHSEED) — runs must reproduce exactly
         random_state = self._seed + zlib.crc32(attribute.encode()) % 100_000
-        if self.kind == "hist":
-            model = HistogramForestClassifier(
-                n_estimators=self.n_estimators,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=random_state,
-            )
-            # warm start: the store's incrementally maintained encoding
-            # skips re-binning the rows every previous refit already saw
-            model.fit(
-                store.X, store.y, n_classes=len(FEEDBACK_CLASSES), binned=store.binned()
-            )
-        else:
-            model = RandomForestClassifier(
-                n_estimators=self.n_estimators,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=random_state,
-            )
-            model.fit(store.X, store.y, n_classes=len(FEEDBACK_CLASSES))
-        self._models[attribute] = model
+        self._models[attribute] = self._fit_committee(store, random_state)
         self._model_versions[attribute] += 1
         self._stale.discard(attribute)
         return True
+
+    def _fit_committee(self, store: _ExampleStore, random_state: int) -> RandomForestClassifier:
+        """A freshly fitted committee over *store*'s examples."""
+        model = HistogramForestClassifier(
+            n_estimators=self.n_estimators,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            random_state=random_state,
+        )
+        # warm start: the store's incrementally maintained encoding
+        # skips re-binning the rows every previous refit already saw
+        model.fit(store.X, store.y, n_classes=len(FEEDBACK_CLASSES), binned=store.binned())
+        return model
 
     def model_version(self, attribute: str) -> int:
         """Fit counter of the attribute's committee (0 while unfitted).
@@ -474,13 +459,12 @@ class FeedbackLearner:
         but pickling keeps restore O(size) instead of O(refit) and
         works even for attributes whose staleness flag was clear.
         Training examples export as dense per-attribute ``(X, y)``
-        arrays (format 2); :meth:`restore_state` also accepts the
-        pre-store per-row list format of older checkpoints.
+        arrays (format 2).
         """
         import pickle
 
         return {
-            "format": 2,
+            "format": _STATE_FORMAT,
             "examples": {
                 a: (store.X.copy(), store.y.copy())
                 for a, store in self._stores.items()
@@ -503,27 +487,20 @@ class FeedbackLearner:
         The learner must have been constructed with the same schema and
         hyper-parameters; afterwards predictions, versions and trust
         judgements are byte-identical to the checkpointed instance.
-        Both the format-2 array layout and the legacy
-        ``"features"``/``"labels"`` per-row layout are accepted, so
-        checkpoints written before the store existed keep restoring.
+        Any layout other than format 2 is refused with
+        :class:`~repro.errors.ConfigError`.
         """
         import pickle
 
-        if "vocab" in state:
-            self.encoder.restore_vocab(state["vocab"])
-        if "examples" in state:
-            self._stores = {
-                a: _ExampleStore.from_arrays(X, y)
-                for a, (X, y) in state["examples"].items()
-            }
-        else:
-            n_features = self.encoder.n_features
-            self._stores = {}
-            for a, rows in state["features"].items():
-                store = _ExampleStore(n_features, capacity=max(32, len(rows)))
-                for features, label in zip(rows, state["labels"][a]):
-                    store.append(features, int(label))
-                self._stores[a] = store
+        if state.get("format") != _STATE_FORMAT:
+            raise ConfigError(
+                f"learner state has format {state.get('format')!r}, "
+                f"expected {_STATE_FORMAT}"
+            )
+        self.encoder.restore_vocab(state["vocab"])
+        self._stores = {
+            a: _ExampleStore.from_arrays(X, y) for a, (X, y) in state["examples"].items()
+        }
         self._models = pickle.loads(state["models"])
         self._model_versions = dict(state["model_versions"])
         self._stale = set(state["stale"])

@@ -52,9 +52,11 @@ def delegation_allowed(
 
     A decision requires a committee prediction with uncertainty at most
     *max_decision_uncertainty*; a *confirm* decision (the only one that
-    writes the database) additionally requires a *trusted* model. One
-    definition serves the engine drain and in-session delegation so the
-    two can never diverge.
+    writes the database) additionally requires a *trusted* model — the
+    user recently checked its predictions and found them accurate.
+    Retain/reject decisions are reversible bookkeeping and proceed on
+    confidence alone. One definition serves the engine drain and
+    in-session delegation so the two can never diverge.
     """
     if not prediction.is_decision:
         return False
@@ -96,8 +98,9 @@ def decide_batched(
     materialisation per tuple however many suggestions it carries —
     then decisions are applied strictly in list order.
 
-    Byte-identity with the sequential predict-one-apply-one reference
-    rests on three facts: predictions are pure (no model refits happen
+    Byte-identity with predict-one-apply-one (the reference
+    :func:`repro.testing.reference.decide_sequential`) rests on three
+    facts: predictions are pure (no model refits happen
     mid-batch), an apply writes at most its own update's tuple, and
     liveness (``state.contains``) is re-checked at each update's apply
     turn. The single hazard is a tuple carrying several live
@@ -106,8 +109,8 @@ def decide_batched(
     *wave*. Rather than cutting waves statically wherever a tuple
     might write, the batch is cut lazily — ``wrote_database`` applies
     record their tid, and a later update on a recorded tid is simply
-    re-predicted against the live row, exactly what the sequential
-    path would have seen. The common case (no same-tuple write, e.g.
+    re-predicted against the live row, exactly what predict-one-apply-one
+    would have seen. The common case (no same-tuple write, e.g.
     every single-suggestion-per-tuple pass) is one committee pass for
     the whole list with zero re-predictions.
 
@@ -178,11 +181,6 @@ class InteractiveSession:
         ``n_s``: labels between retrains.
     seed:
         Seed for the random ordering variant.
-    drain:
-        ``"batched"`` (default) delegates through wave-partitioned
-        ``predict_many`` batches against a snapshot view;
-        ``"sequential"`` is the retained predict-one-apply-one
-        reference the batched path must reproduce byte-for-byte.
     """
 
     def __init__(
@@ -196,12 +194,9 @@ class InteractiveSession:
         batch_size: int = 10,
         seed: int = 0,
         max_decision_uncertainty: float = 0.5,
-        drain: str = "batched",
     ) -> None:
         if ordering not in ("uncertainty", "random"):
             raise ValueError(f"ordering must be 'uncertainty' or 'random', got {ordering!r}")
-        if drain not in ("batched", "sequential"):
-            raise ValueError(f"drain must be 'batched' or 'sequential', got {drain!r}")
         self.db = db
         self.state = state
         self.manager = manager
@@ -210,7 +205,6 @@ class InteractiveSession:
         self.ordering = ordering
         self.batch_size = batch_size
         self.max_decision_uncertainty = max_decision_uncertainty
-        self.drain = drain
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -346,51 +340,24 @@ class InteractiveSession:
     ) -> None:
         """Let the learner decide the group's remaining updates.
 
-        A decision requires a committee prediction with uncertainty at
-        most ``max_decision_uncertainty``; a *confirm* decision (the
-        only one that writes the database) additionally requires a
-        *trusted* model — the user has recently checked the model's
-        predictions and found them accurate (paper §4.2: the user
-        decides whether the classifiers are accurate). Retain/reject
-        decisions are reversible bookkeeping and may proceed on
-        confidence alone. Everything else stays in the pool for later
-        rounds or further user feedback.
-
-        The default path decides through :func:`decide_batched` — one
-        committee pass over the group against a snapshot view — and is
-        byte-identical to the retained ``drain="sequential"``
-        predict-one-apply-one reference.
+        Only predictions passing :func:`delegation_allowed` are applied
+        (paper §4.2: the user decides whether the classifiers are
+        accurate); everything else stays in the pool for later rounds
+        or further user feedback.
         """
-        alive = self._alive_updates(group)
-        if self.drain == "sequential":
-            for update in alive:
-                if not self.state.contains(update):
-                    continue
-                row = self.db.values_snapshot(update.tid)
-                prediction = self.learner.predict(update, row)
-                if not self._decision_allowed(update, prediction):
-                    continue
-                self.manager.apply_feedback(
-                    update, UserFeedback(prediction.feedback), source="learner"
-                )
-                report.learner_decided += 1
-                if on_learner_decision is not None:
-                    on_learner_decision()
-            return
 
         def applied() -> None:
             report.learner_decided += 1
             if on_learner_decision is not None:
                 on_learner_decision()
 
-        decide_batched(
-            self.db,
-            self.learner,
-            self.state,
-            self.manager,
-            alive,
-            self._decision_allowed,
-            applied,
+        self._decide(self._alive_updates(group), applied)
+
+    def _decide(self, updates: list[CandidateUpdate], on_applied: ProgressCallback) -> int:
+        """Apply the gated learner decisions for *updates*, in order."""
+        gate = self._decision_allowed
+        return decide_batched(
+            self.db, self.learner, self.state, self.manager, updates, gate, on_applied
         )
 
     def _decision_allowed(self, update: CandidateUpdate, prediction) -> bool:

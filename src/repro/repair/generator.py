@@ -26,9 +26,9 @@ decision — carried *across* batches while ``(db.version,
 detector.stats_epoch)`` holds still — and candidate pools are scored
 through the batched Eq. 7
 kernel (:meth:`~repro.repair.similarity.SimilarityCache.scores`). The
-per-cell scalar path (:meth:`UpdateGenerator.generate_for_cell` with
-``batched=False``) is retained as the byte-identical reference behind
-``GDRConfig(suggest="scalar")``.
+per-cell scalar path (:meth:`UpdateGenerator.generate_for_cell`) is the
+byte-identical reference it is tested against, and the one
+:class:`repro.testing.reference.ReferenceGenerator` runs.
 
 The best-scoring value that is neither the current value nor in the
 cell's prevented list becomes the cell's live suggestion.
@@ -74,10 +74,6 @@ class UpdateGenerator:
         Update-evaluation function (defaults to Eq. 7 edit-distance
         similarity). A :class:`~repro.repair.similarity.SimilarityCache`
         additionally enables code-space batched scoring.
-    batched:
-        When True (default) :meth:`generate_for_cells` shares witness
-        signatures and batch-scores pools; when False it degrades to
-        the scalar per-cell reference path.
 
     Examples
     --------
@@ -100,14 +96,12 @@ class UpdateGenerator:
         detector: ViolationDetector,
         state: RepairState,
         sim: SimilarityFunction = similarity,
-        batched: bool = True,
     ) -> None:
         self.db = db
         self.rules = rules
         self.detector = detector
         self.state = state
         self.sim = sim
-        self.batched = batched
         # (witness positions, witness codes, target column) -> candidate
         # values; shared by every tuple in the same witness group and
         # invalidated wholesale when the database version moves
@@ -137,7 +131,7 @@ class UpdateGenerator:
         initially assumed potentially incorrect; attributes not involved
         in any violated rule simply yield no suggestion. Iterates the
         detector's incrementally ordered dirty view — no per-pass sort —
-        and (on the batched path) generates every cell through one
+        and generates every cell through one
         :meth:`generate_for_cells` call, sharing witness signatures
         across the whole dirty set.
         """
@@ -196,8 +190,6 @@ class UpdateGenerator:
         entirely. Pools are scored through the batched Eq. 7 kernel
         when the similarity function supports it.
         """
-        if not self.batched:
-            return [self.generate_for_cell(tid, attr) for tid, attr in cells]
         state = self.state
         detector = self.detector
         db = self.db

@@ -1,78 +1,146 @@
-"""parity-coverage: every mode knob keeps a pinned reference test."""
+"""parity-coverage: the production engine keeps a registered oracle comparison."""
 
 from __future__ import annotations
 
 import textwrap
 
-GDR_REL = "src/repro/core/gdr.py"
+from repro.analysis.rules.parity import GDR_MODULE, ORACLE_COMPARISONS, ORACLE_MODULE
 
-GDR_CONFIG = textwrap.dedent(
+GDR_SOURCE = textwrap.dedent(
     """
     class GDRConfig:
-        pipeline: str = "delta"
-        drain: str = "batched"
-        suggest: str = "kernel"
-        learner: str = "hashed"
+        ranking: str = "voi"
         seed: int = 0
+
+
+    class GDREngine:
+        _generator_class = UpdateGenerator
+        _learner_class = FeedbackLearner
+        _session_class = InteractiveSession
+
+        def _next_group(self):
+            pass
+
+        def _drain_pool(self, restrict):
+            pass
+
+        def _drain_pass(self, updates, callback):
+            pass
     """
 )
 
-PINNING_TESTS = textwrap.dedent(
+ORACLE_SOURCE = textwrap.dedent(
     """
-    def test_pipeline_parity():
-        run(GDRConfig(pipeline="rebuild"))
+    class ReferenceGenerator(UpdateGenerator):
+        def generate_for_cells(self, cells, violated_by_tid=None):
+            pass
 
 
-    def test_drain_parity():
-        run(GDRConfig(drain="sequential"))
+    class ReferenceLearner(FeedbackLearner):
+        def _fit_committee(self, store, random_state):
+            pass
 
 
-    def test_suggest_parity():
-        run(GDRConfig(suggest="scalar"))
+    class ReferenceSession(InteractiveSession):
+        def _decide(self, updates, on_applied):
+            pass
 
 
-    def test_learner_parity():
-        run(GDRConfig(learner="exact"))
+    class ReferenceEngine(GDREngine):
+        _generator_class = ReferenceGenerator
+        _learner_class = ReferenceLearner
+        _session_class = ReferenceSession
+
+        def _next_group(self):
+            pass
+
+        def _drain_pool(self, restrict):
+            pass
+
+        def _drain_pass(self, updates, callback):
+            pass
+    """
+)
+
+COMPARISON = textwrap.dedent(
+    """
+
+    def {name}():
+        assert run(GDREngine) == run(ReferenceEngine)
     """
 )
 
 
 def _tree() -> dict[str, str]:
-    return {GDR_REL: GDR_CONFIG, "tests/core/test_parity.py": PINNING_TESTS}
+    files = {GDR_MODULE: GDR_SOURCE, ORACLE_MODULE: ORACLE_SOURCE}
+    for rel, function in ORACLE_COMPARISONS:
+        files[rel] = files.get(rel, "") + COMPARISON.format(name=function)
+    return files
+
+
+FIRST_FILE, FIRST_TEST = ORACLE_COMPARISONS[0]
 
 
 class TestPositive:
     def test_losing_the_last_pin_fails(self, lint):
+        """Deleting a test that compares production against the oracle."""
         files = _tree()
-        files["tests/core/test_parity.py"] = PINNING_TESTS.replace(
-            'run(GDRConfig(drain="sequential"))', "pass"
+        files[FIRST_FILE] = files[FIRST_FILE].replace(
+            COMPARISON.format(name=FIRST_TEST), ""
         )
         findings = lint(files, "parity-coverage")
         assert len(findings) == 1
-        assert findings[0].symbol == "drain"
-        assert "drain='sequential'" in findings[0].message
+        assert findings[0].symbol == FIRST_TEST
+        assert "is gone" in findings[0].message
 
-    def test_dropping_the_knob_from_config_fails(self, lint):
+    def test_oracle_dropping_an_override_fails(self, lint):
+        """The oracle inherits a production component again."""
         files = _tree()
-        files[GDR_REL] = GDR_CONFIG.replace('    suggest: str = "kernel"\n', "")
+        files[ORACLE_MODULE] = ORACLE_SOURCE.replace(
+            "    _learner_class = ReferenceLearner\n", ""
+        )
         findings = lint(files, "parity-coverage")
         assert len(findings) == 1
-        assert findings[0].symbol == "suggest"
-        assert "not a GDRConfig field" in findings[0].message
+        assert findings[0].symbol == "_learner_class"
+        assert "no longer overrides" in findings[0].message
+
+    def test_oracle_component_without_override_fails(self, lint):
+        files = _tree()
+        files[ORACLE_MODULE] = ORACLE_SOURCE.replace(
+            "    def generate_for_cells(self, cells, violated_by_tid=None):\n        pass\n",
+            "    pass\n",
+        )
+        findings = lint(files, "parity-coverage")
+        assert len(findings) == 1
+        assert findings[0].symbol == "_generator_class"
+        assert "'generate_for_cells'" in findings[0].message
+
+    def test_dropping_a_seam_from_the_engine_fails(self, lint):
+        files = _tree()
+        files[GDR_MODULE] = GDR_SOURCE.replace(
+            "    def _drain_pool(self, restrict):\n        pass\n", ""
+        )
+        findings = lint(files, "parity-coverage")
+        assert len(findings) == 1
+        assert findings[0].symbol == "_drain_pool"
+        assert "dead code" in findings[0].message
 
     def test_wrong_reference_value_does_not_count(self, lint):
+        """A registered test that never runs the oracle is no comparison."""
         files = _tree()
-        files["tests/core/test_parity.py"] = PINNING_TESTS.replace(
-            'run(GDRConfig(learner="exact"))', 'run(GDRConfig(learner="hashed"))'
+        first = COMPARISON.format(name=FIRST_TEST)
+        files[FIRST_FILE] = files[FIRST_FILE].replace(
+            first, first.replace("run(ReferenceEngine)", "run(GDREngine)")
         )
         findings = lint(files, "parity-coverage")
         assert len(findings) == 1
-        assert findings[0].symbol == "learner"
+        assert findings[0].symbol == FIRST_TEST
+        assert "does not run both" in findings[0].message
 
     def test_missing_config_module(self, lint):
-        findings = lint(
-            {"tests/core/test_parity.py": PINNING_TESTS}, "parity-coverage"
-        )
+        files = _tree()
+        del files[GDR_MODULE]
+        findings = lint(files, "parity-coverage")
         assert any("missing or unparseable" in f.message for f in findings)
 
 
@@ -81,21 +149,22 @@ class TestNegative:
         assert lint(_tree(), "parity-coverage") == []
 
     def test_positional_pin_through_local_helper(self, lint):
-        # tests/core/test_drain_batched.py threads the reference through
-        # a local `_run(drain, ...)` helper positionally; that counts
+        # the engines may be named only inside a module-level helper
+        # the registered test calls
         files = _tree()
-        files["tests/core/test_parity.py"] = PINNING_TESTS.replace(
-            'run(GDRConfig(drain="sequential"))', "pass"
-        ) + textwrap.dedent(
-            """
+        files[FIRST_FILE] = files[FIRST_FILE].replace(
+            COMPARISON.format(name=FIRST_TEST),
+            textwrap.dedent(
+                f"""
 
-            def _run(drain, preset):
-                return run(GDRConfig(drain=drain))
+                def _compare(preset):
+                    return run(GDREngine, preset) == run(ReferenceEngine, preset)
 
 
-            def test_drain_parity_positional():
-                _run("sequential", "figure1")
-            """
+                def {FIRST_TEST}():
+                    assert _compare("gdr")
+                """
+            ),
         )
         assert lint(files, "parity-coverage") == []
 
@@ -109,12 +178,23 @@ class TestRealRepo:
         assert run_rules(project, [RULES["parity-coverage"]]) == []
 
     def test_removing_a_parity_test_fails_lint(self, repo_root):
-        """The ISSUE acceptance demo: delete the suggest parity test."""
+        """Deleting the engine parity matrix fails lint."""
         from repro.analysis.core import RULES
         from repro.analysis.project import Project, run_rules
 
-        project = Project(
-            repo_root, excludes=("tests/core/test_gdr_suggest.py",)
-        )
+        project = Project(repo_root, excludes=("tests/core/test_gdr_delta.py",))
         findings = run_rules(project, [RULES["parity-coverage"]])
-        assert any(f.symbol == "suggest" for f in findings)
+        assert {f.symbol for f in findings} == {
+            name for rel, name in ORACLE_COMPARISONS if rel == "tests/core/test_gdr_delta.py"
+        }
+
+    def test_removing_an_oracle_override_fails_lint(self, repo_root):
+        from repro.analysis.core import RULES
+        from repro.analysis.project import Project, run_rules
+
+        text = (repo_root / ORACLE_MODULE).read_text()
+        edited = text.replace("    _session_class = ReferenceSession\n", "")
+        assert edited != text
+        project = Project(repo_root, overrides={ORACLE_MODULE: edited})
+        findings = run_rules(project, [RULES["parity-coverage"]])
+        assert [f.symbol for f in findings] == ["_session_class"]

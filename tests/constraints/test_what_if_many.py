@@ -5,7 +5,7 @@ Three implementations must agree cell-for-cell:
 * ``what_if_many`` — the batched one-pass evaluation over partition
   statistics (sparse constant-rule plan + analytic variable-rule math);
 * ``what_if`` — the scalar wrapper over the batched path;
-* ``_what_if_reference`` — the original apply-and-revert evaluation,
+* ``what_if_reference`` — the oracle's apply-and-revert evaluation,
   byte-identical to the real update path.
 
 The property-style suites sweep randomized instances over constant and
@@ -22,6 +22,7 @@ import pytest
 from repro.constraints import CFD, RuleSet, ViolationDetector, parse_rules
 from repro.constraints.pattern import ANY
 from repro.db import Database, Schema
+from repro.testing.reference import what_if_reference
 
 VALUES = {
     "a": ["x0", "x1", "x2"],
@@ -80,7 +81,7 @@ class TestBatchedScalarParity:
             candidates = candidate_values(rng, attr, db.value(tid, attr))
             batched = detector.what_if_many(tid, attr, candidates)
             for value, outcomes in zip(candidates, batched):
-                assert outcomes == detector._what_if_reference(tid, attr, value)
+                assert outcomes == what_if_reference(detector, tid, attr, value)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_parity_survives_interleaved_writes(self, seed):
@@ -99,7 +100,7 @@ class TestBatchedScalarParity:
             candidates = candidate_values(rng, attr, db.value(tid, attr))
             batched = detector.what_if_many(tid, attr, candidates)
             for value, outcomes in zip(candidates, batched):
-                assert outcomes == detector._what_if_reference(tid, attr, value)
+                assert outcomes == what_if_reference(detector, tid, attr, value)
         assert detector.verify()
 
 

@@ -162,8 +162,19 @@ class TestRestoreErrors:
         # format 1 predates the removal of the `shards` knob: its config
         # must be refused by the format check, not crash GDRConfig(**config)
         format_1 = {"format": 1, "config": {**asdict(GDRConfig()), "shards": 0}}
+        # format 2 still carried the four reference mode knobs
+        format_2 = {
+            "format": 2,
+            "config": {
+                **asdict(GDRConfig()),
+                "pipeline": "delta",
+                "drain": "batched",
+                "suggest": "batched",
+                "learner": "hist",
+            },
+        }
         bad = tmp_path / "bad.cp"
-        for payload in ({"format": 99}, format_1):
+        for payload in ({"format": 99}, format_1, format_2):
             bad.write_bytes(pickle.dumps(payload))
             with pytest.raises(ConfigError, match="format"):
                 GDREngine.restore(bad, figure1_rules, GroundTruthOracle(figure1_clean))

@@ -1,65 +1,85 @@
 """Batch-safe learner drain: the shared batched decision engine,
-byte-identical parity with the sequential reference, bounded VOI
-caches, and per-rule staleness parity.
+byte-identical parity with the predict-one-apply-one oracle, bounded
+VOI caches, and per-rule staleness parity.
 
 The acceptance contract of the batched drain is *byte-for-byte*
-equality with ``drain="sequential"``: same labels, same learner
-decisions in the same order, same trajectory, same final instance —
-for every preset, both datasets, and randomized multi-suggestion
-pools.
+equality with :class:`~repro.testing.reference.ReferenceEngine`, whose
+drain and delegation run :func:`~repro.testing.reference.decide_sequential`:
+same labels, same learner decisions in the same order, same trajectory,
+same final instance — for every learning preset, both datasets, the
+split ``run(drain=False)`` + ``drain_remaining()`` seam, and randomized
+multi-suggestion pools.
 """
 
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.gdr as gdr_module
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, LearnerPrediction
-from repro.core.session import decide_batched
+from repro.core.session import InteractiveSession, decide_batched
 from repro.datasets import load_dataset
 from repro.db import Database, Schema
 from repro.errors import ConfigError
 from repro.repair import Feedback
 from repro.repair.candidate import CandidateUpdate
+from repro.testing.reference import ReferenceEngine, decide_sequential, run_signature
 
 
-def _run(drain, preset, dataset="hospital", n=120, budget=30, data_seed=7, config_seed=3, **overrides):
+def _engine(engine_cls, preset, dataset, n, data_seed, config_seed, **overrides):
     ds = load_dataset(dataset, n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, drain=drain, **overrides)
-    engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    config = preset(seed=config_seed, **overrides)
+    engine = engine_cls(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    return db, engine
+
+
+def _run(engine_cls, preset, dataset="hospital", n=120, budget=30, data_seed=7,
+         config_seed=3, **overrides):
+    db, engine = _engine(engine_cls, preset, dataset, n, data_seed, config_seed, **overrides)
     result = engine.run(feedback_limit=budget)
     return db, result, engine
 
 
-def _signature(db, result):
-    return (
-        result.feedback_used,
-        result.learner_decisions,
-        result.iterations,
-        result.final_loss,
-        tuple((p.feedback, p.learner_decisions, p.loss) for p in result.trajectory),
-        tuple(tuple(row.values) for row in db.rows()),
-    )
+def _split(engine_cls, preset, dataset="hospital", n=120, budget=30, data_seed=7,
+           config_seed=3, restrict=False):
+    """``run(drain=False)`` then ``drain_remaining``: the drain in isolation."""
+    db, engine = _engine(engine_cls, preset, dataset, n, data_seed, config_seed)
+    result = engine.run(feedback_limit=budget, drain=False)
+    decided = engine.drain_remaining(restrict=None if restrict else False)
+    return run_signature(db, result), decided
 
 
 class TestDrainConfig:
-    def test_default_is_batched(self):
-        assert GDRConfig().drain == "batched"
+    def test_default_is_batched(self, monkeypatch):
+        """The production drain decides through ``decide_batched``, looked
+        up in ``repro.core.gdr`` at call time."""
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[4]))
+            return decide_batched(*args)
+
+        monkeypatch.setattr(gdr_module, "decide_batched", counting)
+        __, engine = _engine(GDREngine, GDRConfig.gdr, "hospital", 100, 7, 3)
+        engine.run(feedback_limit=25, drain=False)
+        engine.drain_remaining(restrict=False)
+        assert calls and sum(calls) > 0  # every drain candidate went through it
 
     def test_invalid_drain_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(drain="bogus")
+        with pytest.raises(TypeError):
+            GDRConfig(drain="sequential")
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigError):
             GDRConfig(voi_cache_capacity=0)
 
     def test_session_rejects_invalid_drain(self):
-        from repro.core.session import InteractiveSession
-
-        with pytest.raises(ValueError):
-            InteractiveSession(None, None, None, None, None, drain="bogus")
+        with pytest.raises(TypeError):
+            InteractiveSession(None, None, None, None, None, drain="sequential")
 
 
 class _RecordingLearner:
@@ -168,6 +188,43 @@ class TestDecideBatched:
         assert manager.applied == [(0, "a"), (0, "b"), (1, "a")]
         assert db.value(0, "b") == "B0'"
 
+    @pytest.mark.parametrize("feedback", [Feedback.CONFIRM, Feedback.RETAIN])
+    def test_matches_decide_sequential(self, feedback):
+        """Same applies, same order, same final rows as the oracle's
+        predict-one-apply-one, with and without same-tuple writes. The
+        learner only decides on rows it has not seen rewritten, so a
+        stale batched prediction would apply what the oracle skips."""
+
+        class RowSensitive(_RecordingLearner):
+            def _decide_on(self, row):
+                if "A0'" in row:
+                    return LearnerPrediction(None, 0.5, 1.0)
+                return self._prediction()
+
+            def predict(self, update, row):
+                return self._decide_on(row)
+
+            def predict_many(self, updates, rows):
+                return [self._decide_on(row) for row in rows]
+
+        updates = [
+            CandidateUpdate(0, "a", "A0'", 0.5),
+            CandidateUpdate(1, "b", "B1'", 0.5),
+            CandidateUpdate(0, "b", "B0'", 0.5),
+        ]
+        outcomes = []
+        for decide in (decide_batched, decide_sequential):
+            db, state, manager = self._substrate()
+            fired = []
+            n = decide(
+                db, RowSensitive(feedback), state, manager, updates,
+                lambda u, p: p.is_decision and u.cell != (1, "b"), lambda: fired.append(1),
+            )
+            outcomes.append((n, len(fired), manager.applied, [r.values for r in db.rows()]))
+        assert outcomes[0] == outcomes[1]
+        # a confirm rewrites tuple 0, so its second suggestion is skipped
+        assert outcomes[0][0] == (1 if feedback is Feedback.CONFIRM else 2)
+
     def test_gate_rejections_do_not_apply(self):
         db, state, manager = self._substrate()
         learner = _RecordingLearner()
@@ -204,25 +261,34 @@ class TestDecideBatched:
 
 class TestByteIdenticalDrain:
     @pytest.mark.parametrize(
-        "preset",
-        [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning],
+        "preset,size",
+        [
+            (GDRConfig.gdr, dict(n=150, budget=40)),
+            (GDRConfig.s_learning, dict(n=150, budget=40, data_seed=6)),
+            (GDRConfig.active_learning, dict(n=200, budget=100)),
+        ],
         ids=["gdr", "s_learning", "active_learning"],
     )
-    def test_batched_matches_sequential_hospital(self, preset):
-        db_b, result_b, __ = _run("batched", preset)
-        db_s, result_s, __ = _run("sequential", preset)
-        assert _signature(db_b, result_b) == _signature(db_s, result_s)
+    def test_batched_matches_sequential_hospital(self, preset, size):
+        # sizes picked so the isolated drain actually decides something
+        production = _split(GDREngine, preset, **size)
+        assert production[1] > 0
+        assert production == _split(ReferenceEngine, preset, **size)
 
     def test_batched_matches_sequential_adult(self):
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, dataset="adult")
-        db_s, result_s, __ = _run("sequential", GDRConfig.gdr, dataset="adult")
-        assert _signature(db_b, result_b) == _signature(db_s, result_s)
+        kwargs = dict(dataset="adult", n=150, budget=100, data_seed=2, config_seed=3)
+        production = _split(GDREngine, GDRConfig.active_learning, **kwargs)
+        assert production[1] > 0
+        assert production == _split(ReferenceEngine, GDRConfig.active_learning, **kwargs)
 
     def test_batched_matches_sequential_rebuild_pipeline(self):
-        kwargs = dict(pipeline="rebuild", n=80, budget=20)
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, **kwargs)
-        db_s, result_s, __ = _run("sequential", GDRConfig.gdr, **kwargs)
-        assert _signature(db_b, result_b) == _signature(db_s, result_s)
+        """The grouping-local drain (``restrict`` left to the engine):
+        the index-read candidate list against the oracle's filtered
+        full-pool scan."""
+        kwargs = dict(n=150, budget=40, data_seed=8, restrict=True)
+        production = _split(GDREngine, GDRConfig.s_learning, **kwargs)
+        assert production[1] > 0
+        assert production == _split(ReferenceEngine, GDRConfig.s_learning, **kwargs)
 
     @pytest.mark.parametrize("seed", [0, 11, 23])
     def test_property_randomized_multi_suggestion_pools(self, seed):
@@ -230,27 +296,25 @@ class TestByteIdenticalDrain:
         wave boundaries; randomized corruption seeds vary which tuples
         carry them. The decision stream must match regardless."""
         kwargs = dict(dataset="hospital", n=100, budget=25, data_seed=seed, config_seed=seed)
-        db_b, result_b, engine_b = _run("batched", GDRConfig.active_learning, **kwargs)
-        db_s, result_s, __ = _run("sequential", GDRConfig.active_learning, **kwargs)
-        assert _signature(db_b, result_b) == _signature(db_s, result_s)
+        db_b, result_b, __ = _run(GDREngine, GDRConfig.active_learning, **kwargs)
+        db_s, result_s, __ = _run(ReferenceEngine, GDRConfig.active_learning, **kwargs)
+        assert run_signature(db_b, result_b) == run_signature(db_s, result_s)
+
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=10_000), budget=st.integers(40, 100))
+    def test_hypothesis_multi_suggestion_drain(self, seed, budget):
+        """The same contract on generated corruption seeds and budgets."""
+        kwargs = dict(n=150, budget=budget, data_seed=seed, config_seed=seed)
+        assert _split(GDREngine, GDRConfig.active_learning, **kwargs) == _split(
+            ReferenceEngine, GDRConfig.active_learning, **kwargs
+        )
 
     def test_run_without_drain_plus_drain_remaining_equals_full_run(self):
         """``run(drain=False)`` followed by ``drain_remaining()`` is the
         full run, decision for decision — the seam the drain benchmark
         relies on to time the automatic phase in isolation."""
-
-        def build():
-            ds = load_dataset("hospital", n=100, seed=7)
-            db = ds.fresh_dirty()
-            engine = GDREngine(
-                db, ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr(seed=3),
-                clean_db=ds.clean,
-            )
-            return db, engine
-
-        db_full, engine_full = build()
-        result_full = engine_full.run(feedback_limit=25)
-        db_split, engine_split = build()
+        db_full, result_full, __ = _run(GDREngine, GDRConfig.gdr, n=100, budget=25)
+        db_split, engine_split = _engine(GDREngine, GDRConfig.gdr, "hospital", 100, 7, 3)
         result_split = engine_split.run(feedback_limit=25, drain=False)
         decided_after = engine_split.drain_remaining()
         assert result_split.learner_decisions + decided_after == result_full.learner_decisions
@@ -285,19 +349,19 @@ class TestByteIdenticalDrain:
 class TestBoundedCaches:
     def test_forced_small_capacity_evicts_and_preserves_results(self):
         db_small, result_small, engine_small = _run(
-            "batched", GDRConfig.gdr, voi_cache_capacity=8
+            GDREngine, GDRConfig.gdr, voi_cache_capacity=8
         )
-        db_big, result_big, engine_big = _run("batched", GDRConfig.gdr)
+        db_big, result_big, engine_big = _run(GDREngine, GDRConfig.gdr)
         stats = engine_small.benefit_cache.stats
         assert stats["prob_memo_evictions"] > 0
         assert stats["prob_memo_size"] <= 8
         assert stats["row_versions_size"] <= 8
         assert stats["row_generation_bumps"] > 0
         # eviction is a memory policy, never a semantics change
-        assert _signature(db_small, result_small) == _signature(db_big, result_big)
+        assert run_signature(db_small, result_small) == run_signature(db_big, result_big)
 
     def test_stats_counters_populated_on_default_run(self):
-        __, __, engine = _run("batched", GDRConfig.gdr)
+        __, __, engine = _run(GDREngine, GDRConfig.gdr)
         stats = engine.benefit_cache.stats
         assert stats["prob_memo_hits"] > 0
         assert stats["prob_memo_misses"] > 0
@@ -309,7 +373,7 @@ class TestPerRuleStalenessParity:
     def test_cache_matches_rebuild_ranking_after_run(self):
         """The stamped cache (per-rule staleness, memoised p̃) must rank
         exactly like a from-scratch ``rank_groups`` over the live pool."""
-        __, __, engine = _run("batched", GDRConfig.gdr, budget=20)
+        __, __, engine = _run(GDREngine, GDRConfig.gdr, budget=20)
         engine.manager.refresh_suggestions()
         cached = engine.benefit_cache.rank_all(engine.probability)
         rebuilt = engine.voi.rank_groups(engine.group_index.groups(), engine.probability)

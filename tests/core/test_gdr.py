@@ -24,7 +24,19 @@ class TestConfig:
         assert config.seed == 42
         assert config.batch_size == 5
 
-    @pytest.mark.parametrize("kwargs", [{"ranking": "bogus"}, {"learning": "bogus"}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ranking": "bogus"},
+            {"learning": "bogus"},
+            {"n_estimators": 0},
+            {"max_depth": 0},
+            {"batch_size": 0},
+            {"min_labels": -1},
+            {"max_decision_uncertainty": -0.1},
+            {"max_decision_uncertainty": float("nan")},
+        ],
+    )
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigError):
             GDRConfig(**kwargs)

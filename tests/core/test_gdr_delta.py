@@ -1,50 +1,80 @@
-"""Delta-pipeline tests: rebuild parity and the learner drain.
+"""The production engine against its oracle, plus the learner drain.
 
-The rebuild pipeline is the retained reference implementation; the
-delta pipeline must reproduce its :class:`GDRResult` byte-for-byte for
-fixed seeds — same labels, same learner decisions, same trajectory,
-same final instance.
+:class:`~repro.testing.reference.ReferenceEngine` assembles the
+reference components (full-sweep refresh + from-scratch ranking,
+per-cell Algorithm 1, exact-sort committees, predict-one-apply-one
+decisions). The production engine — the delta pipeline — must reproduce
+its :class:`GDRResult` byte-for-byte for fixed seeds: same labels, same
+learner decisions, same trajectory, same final instance. This module
+holds the presets × datasets and baseline-ranking rows of that matrix;
+the split and multi-suggestion drains live in ``test_drain_batched.py``
+and the larger hospital instance in ``test_gdr_learner.py``.
 """
 
 import pytest
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, LearnerPrediction
 from repro.datasets import load_dataset
-from repro.errors import ConfigError
 from repro.repair import Feedback, UserFeedback
+from repro.testing.reference import ReferenceEngine, run_signature
+
+PRESETS = [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning]
+PRESET_IDS = ["gdr", "s_learning", "active_learning", "no_learning"]
 
 
-def _run(pipeline, preset, n=150, budget=40, data_seed=7, config_seed=3, **overrides):
-    ds = load_dataset("hospital", n=n, seed=data_seed)
+def _run(engine_cls, preset, dataset="hospital", n=150, budget=40, data_seed=7,
+         config_seed=3, **overrides):
+    ds = load_dataset(dataset, n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, pipeline=pipeline, **overrides)
-    engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    config = preset(seed=config_seed, **overrides)
+    engine = engine_cls(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     result = engine.run(feedback_limit=budget)
     return db, result, engine
 
 
-def _trajectory(result):
-    return [(p.feedback, p.learner_decisions, p.loss) for p in result.trajectory]
+def _signature(engine_cls, preset, **kwargs):
+    db, result, __ = _run(engine_cls, preset, **kwargs)
+    return run_signature(db, result)
 
 
 class TestPipelineConfig:
     def test_default_is_delta(self):
-        assert GDRConfig().pipeline == "delta"
+        """The delta pipeline is the only production path: every ranking
+        runs off the incrementally maintained group index."""
+        ds = load_dataset("hospital", n=60, seed=0)
+        for ranking in ("voi", "greedy", "random"):
+            engine = GDREngine(
+                ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean), GDRConfig(ranking=ranking)
+            )
+            assert engine.group_index.verify()
+            assert (engine.benefit_cache is not None) == (ranking == "voi")
+            engine.detach()
 
     def test_invalid_pipeline_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(pipeline="bogus")
+        """The retired mode knobs are no longer config fields."""
+        assert len(GDRConfig.__dataclass_fields__) == 22
+        for knob, value in [
+            ("pipeline", "rebuild"), ("drain", "sequential"), ("suggest", "scalar"),
+            ("learner", "exact"),
+        ]:
+            with pytest.raises(TypeError):
+                GDRConfig(**{knob: value})
 
     def test_rebuild_engine_builds_no_index(self):
-        ds = load_dataset("hospital", n=60, seed=0)
-        engine = GDREngine(
-            ds.fresh_dirty(),
-            ds.rules,
-            GroundTruthOracle(ds.clean),
-            GDRConfig.gdr(pipeline="rebuild"),
+        """The oracle's selection never reads the incremental structures:
+        with the group index and benefit cache detached (frozen stale)
+        it still reproduces the production run."""
+        ds = load_dataset("hospital", n=80, seed=0)
+        db = ds.fresh_dirty()
+        engine = ReferenceEngine(
+            db, ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr(seed=1), clean_db=ds.clean
         )
-        assert engine.group_index is None
-        assert engine.benefit_cache is None
+        engine.group_index.detach()
+        engine.benefit_cache.detach()
+        result = engine.run(feedback_limit=20)
+        assert run_signature(db, result) == _signature(
+            GDREngine, GDRConfig.gdr, n=80, budget=20, data_seed=0, config_seed=1
+        )
 
     def test_delta_engine_builds_index_and_cache(self):
         ds = load_dataset("hospital", n=60, seed=0)
@@ -57,48 +87,23 @@ class TestPipelineConfig:
 
 
 class TestByteIdenticalParity:
-    @pytest.mark.parametrize(
-        "preset",
-        [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning],
-        ids=["gdr", "s_learning", "active_learning", "no_learning"],
-    )
+    @pytest.mark.parametrize("preset", PRESETS, ids=PRESET_IDS)
     def test_delta_matches_rebuild(self, preset):
-        db_delta, result_delta, __ = _run("delta", preset)
-        db_rebuild, result_rebuild, __ = _run("rebuild", preset)
-        assert db_delta.equals_data(db_rebuild)
-        assert result_delta.feedback_used == result_rebuild.feedback_used
-        assert result_delta.learner_decisions == result_rebuild.learner_decisions
-        assert result_delta.iterations == result_rebuild.iterations
-        assert result_delta.initial_loss == result_rebuild.initial_loss
-        assert result_delta.final_loss == result_rebuild.final_loss
-        assert _trajectory(result_delta) == _trajectory(result_rebuild)
-        assert result_delta.remaining_dirty == result_rebuild.remaining_dirty
+        assert _signature(GDREngine, preset) == _signature(ReferenceEngine, preset)
 
     @pytest.mark.parametrize("ranking", ["greedy", "random"])
     def test_baseline_rankings_match(self, ranking):
         kwargs = dict(ranking=ranking, learning="none", use_benefit_quota=False)
-        db_delta, result_delta, __ = _run("delta", GDRConfig, **kwargs)
-        db_rebuild, result_rebuild, __ = _run("rebuild", GDRConfig, **kwargs)
-        assert db_delta.equals_data(db_rebuild)
-        assert _trajectory(result_delta) == _trajectory(result_rebuild)
+        assert _signature(GDREngine, GDRConfig, **kwargs) == _signature(
+            ReferenceEngine, GDRConfig, **kwargs
+        )
 
     def test_adult_dataset_parity(self):
-        def run(pipeline):
-            ds = load_dataset("adult", n=120, seed=2)
-            db = ds.fresh_dirty()
-            engine = GDREngine(
-                db,
-                ds.rules,
-                GroundTruthOracle(ds.clean),
-                GDRConfig.gdr(seed=1, pipeline=pipeline),
-                clean_db=ds.clean,
-            )
-            return db, engine.run(feedback_limit=30)
-
-        db_delta, result_delta = run("delta")
-        db_rebuild, result_rebuild = run("rebuild")
-        assert db_delta.equals_data(db_rebuild)
-        assert _trajectory(result_delta) == _trajectory(result_rebuild)
+        kwargs = dict(dataset="adult", n=120, budget=30, data_seed=2, config_seed=1)
+        for preset in PRESETS:
+            assert _signature(GDREngine, preset, **kwargs) == _signature(
+                ReferenceEngine, preset, **kwargs
+            ), preset.__name__
 
     def test_greedy_pick_matches_rebuild_ranking(self):
         """The delta greedy pick reads sizes off the index's cached key
@@ -140,7 +145,7 @@ class TestByteIdenticalParity:
         engine.detach()
 
     def test_substrate_stays_verified_after_run(self):
-        __, __, engine = _run("delta", GDRConfig.gdr)
+        __, __, engine = _run(GDREngine, GDRConfig.gdr)
         assert engine.detector.verify()
         assert engine.group_index.verify()
 
@@ -189,14 +194,13 @@ class _ScriptedLearner:
         return 0
 
 
-def _drain_engine(grouping=True, pipeline="delta"):
+def _drain_engine(grouping=True, engine_cls=GDREngine):
     ds = load_dataset("hospital", n=80, seed=4)
     db = ds.fresh_dirty()
     config = GDRConfig(
-        ranking="voi", learning="none", grouping=grouping,
-        use_benefit_quota=False, pipeline=pipeline,
+        ranking="voi", learning="none", grouping=grouping, use_benefit_quota=False
     )
-    engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    engine = engine_cls(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     return engine
 
 
@@ -204,14 +208,14 @@ class TestDrainWithLearner:
     def test_zero_passes_decides_nothing(self):
         engine = _drain_engine()
         engine.learner = _ScriptedLearner()
-        decided = engine._drain_with_learner(lambda: None, max_passes=0)
+        decided = engine.drain_remaining(max_passes=0)
         assert decided == 0
 
     def test_locality_restriction_blocks_unvisited_groups(self):
         engine = _drain_engine(grouping=True)
         engine.learner = _ScriptedLearner()
         assert len(engine.state) > 0
-        decided = engine._drain_with_learner(lambda: None)
+        decided = engine.drain_remaining()
         assert decided == 0  # no group was ever visited by the user
         assert engine.learner.predictions == 0
 
@@ -221,34 +225,34 @@ class TestDrainWithLearner:
         key = engine.group_index.keys()[0]
         visited_size = engine.group_index.size(key)
         engine._visited_groups.add(key)
-        decided = engine._drain_with_learner(lambda: None, max_passes=1)
+        decided = engine.drain_remaining(max_passes=1)
         assert decided == visited_size  # retained every member, nothing else
 
     def test_no_grouping_drains_whole_pool(self):
         engine = _drain_engine(grouping=False)
         engine.learner = _ScriptedLearner(feedback=Feedback.RETAIN)
         pool = len(engine.state)
-        decided = engine._drain_with_learner(lambda: None, max_passes=1)
+        decided = engine.drain_remaining(max_passes=1)
         assert decided == pool
 
     def test_fixpoint_termination_and_idempotence(self):
         engine = _drain_engine(grouping=False)
         engine.learner = _ScriptedLearner(feedback=Feedback.CONFIRM)
         counter = [0]
-        decided = engine._drain_with_learner(lambda: counter.__setitem__(0, counter[0] + 1))
+        decided = engine.drain_remaining(lambda: counter.__setitem__(0, counter[0] + 1))
         assert decided > 0
         assert counter[0] == decided
         # a second drain finds a fixpoint immediately
-        assert engine._drain_with_learner(lambda: None) == 0
+        assert engine.drain_remaining() == 0
 
     def test_max_passes_caps_multi_pass_drains(self):
         capped = _drain_engine(grouping=False)
         capped.learner = _ScriptedLearner(feedback=Feedback.CONFIRM)
-        decided_capped = capped._drain_with_learner(lambda: None, max_passes=1)
+        decided_capped = capped.drain_remaining(max_passes=1)
 
         free = _drain_engine(grouping=False)
         free.learner = _ScriptedLearner(feedback=Feedback.CONFIRM)
-        decided_free = free._drain_with_learner(lambda: None, max_passes=25)
+        decided_free = free.drain_remaining(max_passes=25)
         # confirms regenerate suggestions, so the uncapped drain keeps
         # going past the first pass
         assert decided_free > decided_capped > 0
@@ -256,28 +260,22 @@ class TestDrainWithLearner:
     def test_uncertain_predictions_not_decided(self):
         engine = _drain_engine(grouping=False)
         engine.learner = _ScriptedLearner(uncertainty=0.9)
-        assert engine._drain_with_learner(lambda: None) == 0
+        assert engine.drain_remaining() == 0
 
     def test_untrusted_confirms_not_applied(self):
         engine = _drain_engine(grouping=False)
         engine.learner = _ScriptedLearner(feedback=Feedback.CONFIRM, trusted=False)
-        assert engine._drain_with_learner(lambda: None) == 0
+        assert engine.drain_remaining() == 0
 
     def test_drain_parity_across_pipelines(self):
-        from repro.core import group_updates
-
         outcomes = {}
-        for pipeline in ("delta", "rebuild"):
-            engine = _drain_engine(grouping=True, pipeline=pipeline)
+        for engine_cls in (GDREngine, ReferenceEngine):
+            engine = _drain_engine(grouping=True, engine_cls=engine_cls)
             engine.learner = _ScriptedLearner(feedback=Feedback.CONFIRM)
-            if engine.group_index is not None:
-                keys = engine.group_index.keys()
-            else:
-                keys = [g.key for g in group_updates(engine.state.updates())]
-            engine._visited_groups.update(keys[:2])
-            decided = engine._drain_with_learner(lambda: None, max_passes=3)
-            outcomes[pipeline] = (decided, engine.db.snapshot())
-        decided_delta, db_delta = outcomes["delta"]
-        decided_rebuild, db_rebuild = outcomes["rebuild"]
-        assert decided_delta == decided_rebuild
+            engine._visited_groups.update(engine.group_index.keys()[:2])
+            decided = engine.drain_remaining(max_passes=3)
+            outcomes[engine_cls] = (decided, engine.db.snapshot())
+        decided_delta, db_delta = outcomes[GDREngine]
+        decided_rebuild, db_rebuild = outcomes[ReferenceEngine]
+        assert decided_delta == decided_rebuild > 0
         assert db_delta.equals_data(db_rebuild)

@@ -1,9 +1,13 @@
-"""Suggestion-engine config tests: `suggest="batched"` vs `"scalar"`.
+"""Suggestion engine: the batched generator against the per-cell oracle.
 
 The batched engine (code-space similarity, witness-signature sharing,
-kernel-scored pools) must reproduce the scalar per-cell reference's
-``GDRResult`` byte-for-byte for fixed seeds — same labels, same learner
-decisions, same trajectory, same final instance.
+kernel-scored pools) must reproduce
+:class:`~repro.testing.reference.ReferenceGenerator` — Algorithm 1 one
+cell at a time — suggestion for suggestion. These tests check that on
+the repair states real sessions leave behind (prevented values, frozen
+cells, written tuples), which fresh-instance differentials in
+``tests/repair/test_generator_batched.py`` never reach; the end-to-end
+run parity lives in ``test_gdr_delta.py``.
 """
 
 import pytest
@@ -11,29 +15,66 @@ import pytest
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
 from repro.errors import ConfigError
+from repro.repair import RepairState, SimilarityCache, UpdateGenerator
+from repro.testing.reference import ReferenceEngine, ReferenceGenerator
+
+PRESETS = [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning]
+PRESET_IDS = ["gdr", "s_learning", "active_learning", "no_learning"]
 
 
-def _run(suggest, preset, dataset="hospital", n=150, budget=40, data_seed=7,
+def _run(engine_cls, preset, dataset="hospital", n=150, budget=40, data_seed=7,
          config_seed=3, **overrides):
     ds = load_dataset(dataset, n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, suggest=suggest, **overrides)
-    engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
-    result = engine.run(feedback_limit=budget)
+    config = preset(seed=config_seed, **overrides)
+    engine = engine_cls(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
+    result = engine.run(feedback_limit=budget, drain=False)
     return db, result, engine
 
 
-def _trajectory(result):
-    return [(p.feedback, p.learner_decisions, p.loss) for p in result.trajectory]
+def _flags_copy(state):
+    """A fresh state carrying *state*'s prevented values and frozen cells,
+    plus a plain reject of every third live suggestion — simulated
+    answers are mostly corrections, which prevent nothing, and prevented
+    cells are exactly where witness sharing must switch off."""
+    copy = RepairState()
+    for cell in sorted(state.frozen_cells()):
+        copy.freeze(cell)
+    prevented = state.prevented_map()
+    for cell in sorted(prevented):
+        for value in sorted(prevented[cell], key=repr):
+            copy.prevent(cell, value)
+    for update in state.updates()[::3]:
+        copy.prevent(update.cell, update.value)
+    return copy
+
+
+def _assert_generators_agree(engine):
+    """Regenerate every dirty cell through both generators from the
+    engine's flags; the produced suggestions must agree exactly."""
+    db, detector = engine.db, engine.detector
+    batched = UpdateGenerator(
+        db, engine.rules, detector, _flags_copy(engine.state), sim=SimilarityCache(db.columns)
+    )
+    reference = ReferenceGenerator(db, engine.rules, detector, _flags_copy(engine.state))
+    produced_b = [(u.cell, u.value, u.score) for u in batched.generate_all()]
+    produced_s = [(u.cell, u.value, u.score) for u in reference.generate_all()]
+    assert produced_b == produced_s
+    assert produced_b
+    assert engine.state.prevented_map() or engine.state.frozen_cells()
 
 
 class TestSuggestConfig:
     def test_default_is_batched(self):
-        assert GDRConfig().suggest == "batched"
+        with pytest.raises(TypeError):
+            GDRConfig(suggest="batched")
+        ds = load_dataset("hospital", n=60, seed=0)
+        with pytest.raises(TypeError):
+            UpdateGenerator(ds.dirty, ds.rules, None, RepairState(), batched=True)
 
     def test_invalid_suggest_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(suggest="bogus")
+        with pytest.raises(TypeError):
+            GDRConfig(suggest="scalar")
 
     def test_invalid_sim_cache_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,55 +116,39 @@ class TestSuggestConfig:
         assert engine.sim_cache.stats["evictions"] > 0
 
     def test_generator_mode_follows_config(self):
+        """The engine class, not the config, picks the generator."""
         ds = load_dataset("hospital", n=60, seed=0)
-        batched = GDREngine(
+        production = GDREngine(
             ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr()
         )
-        batched.detach()
-        scalar = GDREngine(
-            ds.fresh_dirty(),
-            ds.rules,
-            GroundTruthOracle(ds.clean),
-            GDRConfig.gdr(suggest="scalar"),
+        production.detach()
+        oracle = ReferenceEngine(
+            ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr()
         )
-        assert batched.generator.batched is True
-        assert scalar.generator.batched is False
+        assert type(production.generator) is UpdateGenerator
+        assert type(oracle.generator) is ReferenceGenerator
 
 
 class TestByteIdenticalSuggestParity:
-    @pytest.mark.parametrize(
-        "preset",
-        [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning],
-        ids=["gdr", "s_learning", "active_learning", "no_learning"],
-    )
+    @pytest.mark.parametrize("preset", PRESETS, ids=PRESET_IDS)
     def test_batched_matches_scalar(self, preset):
-        db_b, result_b, __ = _run("batched", preset)
-        db_s, result_s, __ = _run("scalar", preset)
-        assert db_b.equals_data(db_s)
-        assert result_b.feedback_used == result_s.feedback_used
-        assert result_b.learner_decisions == result_s.learner_decisions
-        assert result_b.iterations == result_s.iterations
-        assert result_b.initial_loss == result_s.initial_loss
-        assert result_b.final_loss == result_s.final_loss
-        assert _trajectory(result_b) == _trajectory(result_s)
-        assert result_b.remaining_dirty == result_s.remaining_dirty
+        __, __, engine = _run(GDREngine, preset)
+        _assert_generators_agree(engine)
 
     def test_adult_dataset_parity(self):
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, dataset="adult", n=120,
-                                  budget=30, data_seed=2, config_seed=1)
-        db_s, result_s, __ = _run("scalar", GDRConfig.gdr, dataset="adult", n=120,
-                                  budget=30, data_seed=2, config_seed=1)
-        assert db_b.equals_data(db_s)
-        assert _trajectory(result_b) == _trajectory(result_s)
+        __, __, engine = _run(
+            GDREngine, GDRConfig.gdr, dataset="adult", n=120, budget=30, data_seed=2,
+            config_seed=1,
+        )
+        _assert_generators_agree(engine)
 
     def test_batched_on_rebuild_pipeline_parity(self):
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, pipeline="rebuild")
-        db_s, result_s, __ = _run("scalar", GDRConfig.gdr, pipeline="rebuild")
-        assert db_b.equals_data(db_s)
-        assert _trajectory(result_b) == _trajectory(result_s)
+        """Flags left by the oracle's own session agree too."""
+        __, __, engine = _run(ReferenceEngine, GDRConfig.gdr)
+        _assert_generators_agree(engine)
 
     def test_cache_sees_traffic_during_run(self):
-        __, __, engine = _run("batched", GDRConfig.gdr)
+        __, __, engine = _run(GDREngine, GDRConfig.gdr)
         stats = engine.sim_cache.stats
         assert stats["misses"] > 0
         assert stats["hits"] > 0

@@ -1,5 +1,6 @@
 """Warm-started learner store: growable matrices, incremental binning,
-hist/exact kind parity, export-format round trips, refit atomicity."""
+hist committees vs the exact-sort oracle learner, export-format round
+trips, refit atomicity."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.ml.binning import bin_matrix
 from repro.ml.forest import HistogramForestClassifier, RandomForestClassifier
 from repro.repair import CandidateUpdate, Feedback
 from repro.testing import SessionKilled, arm, fault_scope
+from repro.testing.reference import ReferenceLearner
 
 
 @pytest.fixture()
@@ -93,12 +95,9 @@ class TestExampleStore:
 
 class TestLearnerKinds:
     def test_invalid_kind_rejected(self, schema):
-        with pytest.raises(ConfigError):
-            FeedbackLearner(schema, kind="bogus")
-
-    def test_default_kind_is_hist(self, schema):
-        learner = FeedbackLearner(schema)
-        assert learner.kind == "hist"
+        """The committee kind is the class, not a constructor option."""
+        with pytest.raises(TypeError):
+            FeedbackLearner(schema, kind="exact")
 
     def test_hist_model_class(self, schema):
         learner = FeedbackLearner(schema, min_examples=5, seed=0)
@@ -106,13 +105,13 @@ class TestLearnerKinds:
         assert isinstance(learner._models["city"], HistogramForestClassifier)
 
     def test_exact_model_class(self, schema):
-        learner = FeedbackLearner(schema, min_examples=5, seed=0, kind="exact")
+        learner = ReferenceLearner(schema, min_examples=5, seed=0)
         teach(learner)
         assert type(learner._models["city"]) is RandomForestClassifier
 
     def test_hist_and_exact_agree_bit_for_bit(self, schema):
         hist = FeedbackLearner(schema, min_examples=5, seed=3)
-        exact = FeedbackLearner(schema, min_examples=5, seed=3, kind="exact")
+        exact = ReferenceLearner(schema, min_examples=5, seed=3)
         teach(hist)
         teach(exact)
         for ph, pe in zip(probe_predictions(hist), probe_predictions(exact)):
@@ -182,21 +181,22 @@ class TestExportRestore:
             for value in orig.export_values():
                 assert rest.encode(value) == orig.encode(value)
 
-    def test_legacy_format_restores(self, schema):
+    def test_legacy_format_refused(self, schema):
+        """Only format 2 restores; the pre-store per-row layout (and any
+        unversioned state) is refused instead of half-loaded."""
         learner = FeedbackLearner(schema, min_examples=5, seed=1)
         teach(learner)
         state = learner.export_state()
-        # rewrite as the pre-store per-row format
         legacy = dict(state)
         del legacy["format"]
         examples = legacy.pop("examples")
         legacy["features"] = {a: [row.copy() for row in X] for a, (X, __) in examples.items()}
         legacy["labels"] = {a: [int(v) for v in y] for a, (__, y) in examples.items()}
         clone = FeedbackLearner(schema, min_examples=5, seed=1)
-        clone.restore_state(legacy)
-        assert clone.total_examples() == learner.total_examples()
-        for pa, pb in zip(probe_predictions(learner), probe_predictions(clone)):
-            assert pa == pb
+        for bad in (legacy, {**state, "format": 1}, {**state, "format": 3}):
+            with pytest.raises(ConfigError, match="format"):
+                clone.restore_state(bad)
+        assert clone.total_examples() == 0
 
 
 class TestRefitAtomicity:

@@ -1,4 +1,5 @@
-"""Batched suggestion-engine tests: `generate_for_cells` vs the scalar path."""
+"""Batched suggestion-engine tests: `generate_for_cells` vs the per-cell
+oracle (:class:`~repro.testing.reference.ReferenceGenerator`)."""
 
 import pytest
 
@@ -6,16 +7,16 @@ from repro.constraints import RuleSet, ViolationDetector, parse_rules
 from repro.datasets import load_dataset
 from repro.db import Database, Schema
 from repro.repair import RepairState, SimilarityCache, UpdateGenerator
+from repro.testing.reference import ReferenceGenerator
 
 
 def _substrate(ds, batched, sim=None):
     db = ds.fresh_dirty()
     detector = ViolationDetector(db, ds.rules)
     state = RepairState()
-    kwargs = {"batched": batched}
-    if sim is not None:
-        kwargs["sim"] = sim
-    generator = UpdateGenerator(db, ds.rules, detector, state, **kwargs)
+    kwargs = {} if sim is None else {"sim": sim}
+    generator_cls = UpdateGenerator if batched else ReferenceGenerator
+    generator = generator_cls(db, ds.rules, detector, state, **kwargs)
     return db, detector, state, generator
 
 
@@ -43,7 +44,7 @@ def test_generate_all_matches_scalar_with_code_space_cache():
     detector = ViolationDetector(db, ds.rules)
     state_b = RepairState()
     cache = SimilarityCache(db.columns)
-    gen_b = UpdateGenerator(db, ds.rules, detector, state_b, sim=cache, batched=True)
+    gen_b = UpdateGenerator(db, ds.rules, detector, state_b, sim=cache)
     gen_b.generate_all()
     __, __, state_s, gen_s = _substrate(ds, batched=False)
     gen_s.generate_all()
@@ -79,7 +80,7 @@ def test_prevented_cell_not_shared_with_witness_twin():
     rules = RuleSet(parse_rules("(zip -> city, {46360 || 'Michigan City'})"))
     detector = ViolationDetector(db, rules)
     state = RepairState()
-    gen = UpdateGenerator(db, rules, detector, state, batched=True)
+    gen = UpdateGenerator(db, rules, detector, state)
     state.prevent((0, "city"), "Michigan City")
     results = gen.generate_for_cells([(0, "city"), (1, "city")])
     assert results[0] is None  # only candidate prevented
@@ -109,7 +110,7 @@ class TestRhsHistogramMemo:
         rules = RuleSet(parse_rules("(street, city -> zip, {-, - || -})"), schema=schema)
         detector = ViolationDetector(db, rules)
         state = RepairState()
-        gen = UpdateGenerator(db, rules, detector, state, batched=True)
+        gen = UpdateGenerator(db, rules, detector, state)
         return db, rules, detector, gen
 
     def test_partition_shares_one_histogram(self):
